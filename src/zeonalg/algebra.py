@@ -474,7 +474,10 @@ class ZeonElement:
                 raise ParseError(str(exc)) from exc
             if mask in terms:
                 raise ParseError(f"duplicate blade {indices!r}")
-            terms[mask] = complex(re, im)
+            value = complex(re, im)
+            if not cmath.isfinite(value):
+                raise ParseError(f"coefficient of blade {indices!r} is not finite: {value}")
+            terms[mask] = value
         return cls(n, terms, tol)
 
     def __str__(self) -> str:

@@ -10,6 +10,7 @@ machine-readable {"error": code, "detail": ...} object on stdout.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import sys
 
@@ -33,14 +34,14 @@ class _Parser(argparse.ArgumentParser):
 def _parse_complex(text: str) -> complex:
     parts = text.split(",")
     try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
+        if len(parts) in (1, 2):
+            value = complex(*map(float, parts))
+            if cmath.isfinite(value):
+                return value
     except ValueError:
         pass
     raise argparse.ArgumentTypeError(
-        f"expected 're' or 're,im' with float parts, got {text!r}")
+        f"expected 're' or 're,im' with finite float parts, got {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,11 +202,10 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
 
     if name == "eigen":
         matrix = ZeonMatrix.from_json(payload, tol)
-        chi = char_poly(matrix, tol).poly
-        report = complex_roots(chi, tol)
-        values = [lift_simple_zero(chi, r.value, tol) for r in report.roots if r.simple]
+        values = eigenvalues(matrix, tol)
         vectors = [eigenvector(matrix, lam, tol) for lam in values]
-        simple = all(r.simple for r in report.roots)
+        # root multiplicities sum to m, so only an all-simple spectrum lifts m values
+        simple = len(values) == matrix.rows
         obj = {"eigenvalues": [v.to_json() for v in values],
                "eigenvectors": [v.to_json() for v in vectors],
                "spectrally_simple": simple}

@@ -580,34 +580,17 @@ def _det_permutation(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
     return acc
 
 
-def _det_cofactor(rows: list, tol: Tolerances) -> ZeonElement:
-    m = len(rows)
-    if m == 1:
-        return rows[0][0]
-    n = rows[0][0].n
-    col = min(range(m), key=lambda c: sum(1 for r in range(m) if rows[r][c].terms))
-    acc = ZeonElement.zero(n)
-    for r in range(m):
-        e = rows[r][col]
-        if not e.terms:
-            continue
-        minor = [[rows[i][j] for j in range(m) if j != col]
-                 for i in range(m) if i != r]
-        term = e.mul(_det_cofactor(minor, tol), tol)
-        if (r + col) & 1:
-            term = -term
-        acc = acc.add(term, tol)
-    return acc
-
-
 def determinant(matrix: ZeonMatrix, tol: Tolerances = DEFAULT,
                 method: str = "auto") -> ZeonElement:
     """Determinant over the algebra.
 
     "permutation" sums signed products over all permutations (exact, used
-    by default up to 4x4); "elimination" triangularizes and multiplies the
-    diagonal back through det_factor, falling back to cofactor expansion
-    when some column has no invertible pivot.
+    by default up to 4x4). "elimination" reads it off ``eliminate``: rows
+    without a pivot are zero in every pivot column, so with the pivot
+    columns first the reduced matrix is [[P, X], [0, N]], P triangular
+    with the pivots on its diagonal and N the leftover nilpotent block:
+    det = det_factor^-1 * sign(column order) * prod(pivots) * det N,
+    with det N by the permutation sum (N is empty at full pivot rank).
     """
     matrix._require_square("determinant")
     if method == "auto":
@@ -617,15 +600,19 @@ def determinant(matrix: ZeonMatrix, tol: Tolerances = DEFAULT,
     if method != "elimination":
         raise ValueError(f"unknown determinant method {method!r}")
     report = eliminate(matrix, tol)
-    if report.pivot_count < matrix.rows:
-        upper_ok = all(report.upper.entries[i][j].norm_inf() <= tol.compare
-                       for i in range(matrix.rows) for j in range(i))
-        if not upper_ok:
-            return _det_cofactor([list(r) for r in matrix.entries], tol)
-    diag = ZeonElement.one(matrix.n)
-    for i in range(matrix.rows):
-        diag = diag.mul(report.upper.entries[i][i], tol)
-    return report.det_factor.inverse(tol).mul(diag, tol)
+    upper = report.upper.entries
+    pivot_cols = [col for _, col in report.pivots]
+    free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
+    det = report.det_factor.inverse(tol)
+    if sum(p > f for p in pivot_cols for f in free_cols) & 1:
+        det = -det
+    for row, col in report.pivots:
+        det = det.mul(upper[row][col], tol)
+    if free_cols:
+        nilpotent_block = ZeonMatrix([[upper[r][c] for c in free_cols]
+                                      for r in range(report.pivot_count, matrix.rows)])
+        det = det.mul(_det_permutation(nilpotent_block, tol), tol)
+    return det
 
 
 def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:

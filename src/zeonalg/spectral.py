@@ -76,6 +76,14 @@ def cayley_hamilton_residual(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> f
     return _char_residual(matrix, chi, tol)
 
 
+def _lifted_spectrum(matrix: ZeonMatrix, tol: Tolerances):
+    """chi_A, its shadow roots, and the zeon lifts of the simple ones, in root order."""
+    chi = char_poly(matrix, tol).poly
+    roots = complex_roots(chi, tol).roots
+    return chi, roots, [lift_simple_zero(chi, root.value, tol)
+                        for root in roots if root.simple]
+
+
 def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonElement]:
     """Zeon eigenvalues lifted from the simple shadow eigenvalues.
 
@@ -83,10 +91,7 @@ def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonEleme
     descending imaginary part). Shadow eigenvalues with multiplicity
     above one do not lift; the list is then shorter than the dimension.
     """
-    chi = char_poly(matrix, tol).poly
-    report = complex_roots(chi, tol)
-    return [lift_simple_zero(chi, root.value, tol)
-            for root in report.roots if root.simple]
+    return _lifted_spectrum(matrix, tol)[2]
 
 
 def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVector:
@@ -218,17 +223,15 @@ def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> Spectra
     if not matrix.is_self_adjoint(tol):
         raise NotSelfAdjointError("matrix is not self-adjoint within tolerance")
     m, n = matrix.rows, matrix.n
-    chi = char_poly(matrix, tol).poly
-    report = complex_roots(chi, tol)
-    bad = [r for r in report.roots if not r.simple]
+    chi, roots, values = _lifted_spectrum(matrix, tol)
+    bad = [r for r in roots if not r.simple]
     if bad:
         desc = ", ".join(f"{r.value:.6} x{r.multiplicity}" for r in bad)
         raise SpectralSimplicityError(
             f"shadow spectrum is not simple ({desc}); no unique decomposition")
     pairs = []
     projections = []
-    for root in report.roots:
-        lam = lift_simple_zero(chi, root.value, tol)
+    for lam in values:
         xi = eigenvector(matrix, lam, tol)
         nv = normalize(xi, tol)
         pairs.append(Eigenpair(lam, xi, nv, True))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -20,7 +21,10 @@ class Tolerances:
     scalar_zero: float = 1e-9
 
     def __post_init__(self) -> None:
-        if min(self.prune, self.compare, self.scalar_zero) <= 0:
+        values = (self.prune, self.compare, self.scalar_zero)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("tolerances must be finite")
+        if min(values) <= 0:
             raise ValueError("tolerances must be strictly positive")
         if self.prune > self.compare:
             raise ValueError("prune tolerance must not exceed compare tolerance")

@@ -5,6 +5,8 @@ lines are collected here and echoed in the terminal summary so they are
 visible on a plain pytest run.
 """
 
+import os
+
 import pytest
 
 ACCEPTANCE_LINES: list[tuple[str, bool, str]] = []
@@ -31,6 +33,12 @@ def acceptance(request):
     else:
         passed, detail = False, "errored before recording a result"
     ACCEPTANCE_LINES.append((name, passed, detail))
+
+
+def pytest_configure(config):
+    """Let the CLI tests' child processes import zeonalg from this checkout."""
+    paths = [str(config.rootpath / "src"), os.environ.get("PYTHONPATH")]
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -90,6 +90,14 @@ class TestInverse:
         assert code == 1
         assert json.loads(out)["error"] == "parse"
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_coefficient_exits_1(self, value):
+        payload = ('{"n":2,"terms":[{"I":[],"re":%s,"im":0},'
+                   '{"I":[1],"re":1,"im":0}]}' % value)
+        code, out, _ = run_cli("inv", stdin_text=payload)
+        assert code == 1
+        assert json.loads(out)["error"] == "parse"
+
     def test_missing_file_exits_1(self):
         code, out, _ = run_cli("inv", "/nonexistent/input.json")
         assert code == 1
@@ -171,6 +179,12 @@ class TestPolyCommands:
         assert code == 2
         assert json.loads(out)["error"] == "not_spectrally_simple"
 
+    def test_polyzero_non_finite_lambda_exits_1(self):
+        code, out, _ = run_cli("polyzero", "--lambda0", "nan",
+                               fixture("poly_quartic.json"))
+        assert code == 1
+        assert json.loads(out)["error"] == "usage"
+
     def test_split_success(self):
         poly = ZeonPolynomial.from_scalars(2, [2, -3, 1])
         code, out, _ = run_cli("split", stdin_text=json.dumps(poly.to_json()))
@@ -242,6 +256,19 @@ class TestEigenAndSpectral:
             vec = ZeonVector.from_json(vec_blob)
             assert a.mul(vec).sub(vec.scale(value)).norm_inf() <= 1e-8
 
+    def test_eigen_non_simple_spectrum(self):
+        # shadow eigenvalue 2 is double, so only -1 lifts
+        a = ZeonMatrix.diagonal([ZeonElement(2, {0: 2, 1: 1}),
+                                 ZeonElement(2, {0: 2, 2: 1}),
+                                 ZeonElement.scalar(2, -1)])
+        code, out, _ = run_cli("eigen", stdin_text=json.dumps(a.to_json()))
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["spectrally_simple"] is False
+        assert len(blob["eigenvalues"]) == 1
+        assert ZeonElement.from_json(blob["eigenvalues"][0]).allclose(
+            ZeonElement.scalar(2, -1))
+
     def test_spectral_end_to_end(self):
         code, out, _ = run_cli("spectral", fixture("mat_spectral.json"))
         assert code == 0
@@ -296,6 +323,12 @@ class TestToleranceFlags:
         code, out, _ = run_cli("inv", "--tol-prune", "1e-3", "--tol-compare", "1e-9",
                                stdin_text=payload)
         assert code == 1
+
+    def test_non_finite_tolerance_exits_1(self):
+        payload = json.dumps(ZeonElement(1, {0: 1.0}).to_json())
+        code, out, _ = run_cli("inv", "--tol-prune", "nan", stdin_text=payload)
+        assert code == 1
+        assert json.loads(out)["error"] == "parse"
 
     def test_json_and_pretty_conflict(self):
         payload = json.dumps(ZeonElement(1, {0: 1.0}).to_json())

@@ -273,6 +273,15 @@ class TestElimination:
             assert op["kind"] in {"swap", "axpy"}
 
 
+def _with_nilpotent_lines(rng, m, n, columns, nilpotent_row=False):
+    """Random m x m matrix whose given columns (and optionally one row) are nilpotent."""
+    rows = [[rand_element(rng, n, 3, "nilpotent" if j in columns else "any")
+             for j in range(m)] for _ in range(m)]
+    if nilpotent_row:
+        rows[rng.randrange(m)] = [rand_element(rng, n, 3, "nilpotent") for _ in range(m)]
+    return ZeonMatrix(rows)
+
+
 class TestDeterminant:
     def test_worked_example(self, det_matrix):
         expected = Z(3, {0: 4, 0b001: 6, 0b010: -2, 0b011: -3, 0b111: -4})
@@ -300,10 +309,14 @@ class TestDeterminant:
 
     def test_methods_match_dense_oracle(self):
         rng = random.Random(151)
-        for _ in range(20):
-            m = rng.randint(2, 3)
-            a = rand_matrix(rng, m, 3)
-            want = from_dense(dense_perm_det(a), 3)
+        cases = [rand_matrix(rng, rng.randint(2, 3), 3) for _ in range(20)]
+        for _ in range(30):
+            m = rng.randint(2, 5)
+            columns = rng.sample(range(m), rng.randint(1, m))
+            cases.append(_with_nilpotent_lines(rng, m, rng.randint(2, 4), columns,
+                                               nilpotent_row=rng.random() < 0.3))
+        for a in cases:
+            want = from_dense(dense_perm_det(a), a.n)
             assert determinant(a, method="permutation").allclose(want)
             assert determinant(a, method="elimination").allclose(want)
 
@@ -340,6 +353,11 @@ class TestDeterminant:
         want = z2.mul(z3).scale(-1)  # z1*z1 - z2*z3
         assert determinant(a, method="permutation").allclose(want)
         assert determinant(a, method="elimination").allclose(want)
+        # pivots fall in columns 0, 2, 3, 5, so the columns must be reordered
+        b = _with_nilpotent_lines(random.Random(172), 6, 3, [1, 4])
+        assert eliminate(b).pivot_count == 4
+        assert determinant(b, method="elimination").allclose(
+            determinant(b, method="permutation"))
 
     def test_nilpotent_row_gives_nilpotent_det(self):
         rng = random.Random(173)
