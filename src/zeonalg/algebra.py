@@ -13,11 +13,24 @@ from __future__ import annotations
 import cmath
 from collections.abc import Iterable, Mapping
 
+import numpy as np
+
 from .errors import DimensionMismatch, ParseError, SingularityError, ZeonError
 from .tolerances import DEFAULT, Tolerances
 
 # Masks are subset indicators, so one machine word caps the generator count.
 MAX_GENERATORS = 63
+
+# The product runs on coefficient arrays when n <= _DENSE_MAX_N and
+# |a| * |b| >= _DENSE_MIN_PAIRS[n], and on the dict loop otherwise. The
+# loop costs about 0.08 us per blade pair; the array kernel about 5 us of
+# conversion plus 10 ns per subset pair, of which there are 3^n. The rule
+# is the crossover measured on random operands for n = 3..8 and sizes
+# from 2^n / 32 to 2^n blades. The cap keeps the 2^n arrays and the
+# 3^n-pair index tables small (100 KB at n = 8).
+_DENSE_MAX_N = 8
+_DENSE_MIN_PAIRS = tuple(64 + 3 ** n // 8 for n in range(_DENSE_MAX_N + 1))
+_SUBSET_PAIRS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
@@ -54,6 +67,54 @@ def blade_key(mask: int) -> tuple[int, tuple[int, ...]]:
 def principal_root(value: complex, k: int) -> complex:
     """Principal complex kth root, exp(log(value) / k)."""
     return cmath.exp(cmath.log(value) / k)
+
+
+def _subset_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index tables of subset convolution on n generators, built once per n.
+
+    Every pair (k ^ j, j) with j a subset of k, grouped by k ascending;
+    the group of k starts at starts[k] and holds 2^|k| pairs.
+    """
+    tables = _SUBSET_PAIRS.get(n)
+    if tables is None:
+        size = 1 << n
+        masks = np.arange(size)
+        k, j = np.nonzero((masks[:, None] & masks[None, :]) == masks[None, :])
+        tables = (k ^ j, j, np.searchsorted(k, masks))
+        _SUBSET_PAIRS[n] = tables
+    return tables
+
+
+def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],
+               prune: float) -> dict[int, complex]:
+    """Blade-convolution product on 2^n coefficient arrays, pruned below prune.
+
+    Sums a[k ^ j] * b[j] over the 3^n subset pairs j of k, instead of
+    visiting |a| * |b| blade pairs of which most overlap.
+    """
+    size = 1 << n
+    x = np.zeros(size, complex)
+    x[np.fromiter(a, np.intp, len(a))] = np.fromiter(a.values(), complex, len(a))
+    y = np.zeros(size, complex)
+    y[np.fromiter(b, np.intp, len(b))] = np.fromiter(b.values(), complex, len(b))
+    left, right, starts = _subset_pairs(n)
+    out = np.add.reduceat(x[left] * y[right], starts)
+    return {k: c for k, c in enumerate(out.tolist()) if abs(c) >= prune}
+
+
+def _dict_mul(a: Mapping[int, complex], b: Mapping[int, complex]) -> dict[int, complex]:
+    """Blade-convolution product over stored terms; disjoint masks merge, overlapping die."""
+    if len(a) > len(b):
+        a, b = b, a
+    out: dict[int, complex] = {}
+    get = out.get
+    for i, x in a.items():
+        for j, y in b.items():
+            if i & j:
+                continue
+            k = i | j
+            out[k] = get(k, 0j) + x * y
+    return out
 
 
 def _format_real(x: float, sig: int) -> str:
@@ -168,20 +229,16 @@ class ZeonElement:
         return ZeonElement(self.n, {m: v * c for m, v in self.terms.items()}, tol)
 
     def mul(self, other: "ZeonElement", tol: Tolerances = DEFAULT) -> "ZeonElement":
-        """Blade-convolution product; disjoint masks merge, overlapping die."""
+        """Blade-convolution product; disjoint masks merge, overlapping die.
+
+        Dense operands on few generators go through the array kernel,
+        everything else through the loop over stored terms.
+        """
         self._require_same_n(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        out: dict[int, complex] = {}
-        get = out.get
-        for i, x in a.items():
-            for j, y in b.items():
-                if i & j:
-                    continue
-                k = i | j
-                out[k] = get(k, 0j) + x * y
-        return ZeonElement(self.n, out, tol)
+        n, a, b = self.n, self.terms, other.terms
+        if n <= _DENSE_MAX_N and len(a) * len(b) >= _DENSE_MIN_PAIRS[n]:
+            return ZeonElement._wrap(n, _dense_mul(n, a, b, tol.prune))
+        return ZeonElement(n, _dict_mul(a, b), tol)
 
     def pow(self, k: int, tol: Tolerances = DEFAULT) -> "ZeonElement":
         """Non-negative integer power by repeated squaring."""

@@ -498,9 +498,16 @@ def lift_simple_zero(phi: ZeonPolynomial, lam0: complex,
 
         lam <- lam - <phi(lam)>_k / g(lam0)
 
-    and each pass strictly raises that minimal grade, so at most n
-    passes land on the exact zero. The correction divisor g(lam0) is
-    nonzero exactly because the zero is simple.
+    In exact arithmetic each pass clears grade k, so at most n passes
+    land on the exact zero. In floating point, rounding residue can
+    reappear at a grade already cleared; the loop stops as soon as the
+    minimal grade fails to rise, and the lift is accepted only when the
+    dual part of phi(lam) is within tol.compare * degree of the largest
+    coefficient magnitude of the monic polynomial. Otherwise
+    NonConvergenceError is raised, with the unfinished lift as its
+    report. (The scalar part of phi(lam) is f(lam0), which the shadow-zero
+    test bounds on entry.) The correction divisor g(lam0) is nonzero
+    exactly because the zero is simple.
     """
     lead = phi.leading
     if not lead.is_invertible(tol):
@@ -519,16 +526,22 @@ def lift_simple_zero(phi: ZeonPolynomial, lam0: complex,
             f"shadow zero {_fmt_c(lam0)} is not simple; it does not lift uniquely")
     n = phi.n
     lam = ZeonElement.scalar(n, lam0, tol)
+    dual = monic.evaluate(lam, tol).dual_part()
     prev_grade = 0
+    # dual is always the nilpotent part of the residual of the current lam.
     for _ in range(n + 1):
-        dual = monic.evaluate(lam, tol).dual_part()
         grade = dual.min_grade()
-        if not 0 < grade <= n:
+        if not prev_grade < grade <= n:
             break
-        if grade <= prev_grade:
-            break  # float residue at an already-cleared grade
         lam = lam.sub(dual.grade_part(grade).scale(1 / g0, tol), tol)
+        dual = monic.evaluate(lam, tol).dual_part()
         prev_grade = grade
+    coeff_scale = max(c.norm_inf() for c in monic.coeffs)
+    if dual.norm_inf() > tol.compare * f.degree * coeff_scale:
+        raise NonConvergenceError(
+            f"lift of shadow zero {_fmt_c(lam0)} stopped with residual "
+            f"{dual.norm_inf():.3g} against coefficient scale {coeff_scale:.3g}",
+            report=lam)
     return lam
 
 

@@ -97,9 +97,13 @@ def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonEleme
 def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVector:
     """Kernel vector of (value I - A) for a spectrally simple eigenvalue.
 
-    Elimination must find exactly m - 1 invertible pivots; the free
-    coordinate is set to 1 and the rest back-substituted, so the result
-    always has an invertible component.
+    The free coordinate is the one where the null vector of the shadow
+    value_0 I - A_0 is largest. Moving that column last before
+    elimination leaves the pivots to the other m - 1 columns, so no
+    pivot is small merely because an eigenvector component is. Elimination
+    must find exactly m - 1 invertible pivots; the free coordinate is
+    set to 1 and the rest back-substituted, so the result always has an
+    invertible component.
     """
     matrix._require_square("eigenvector extraction")
     m, n = matrix.rows, matrix.n
@@ -108,7 +112,10 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
     if value.n != n:
         raise DimensionMismatch("eigenvalue lives in a different algebra")
     shifted = ZeonMatrix.identity(m, n).scale(value, tol).sub(matrix, tol)
-    report = eliminate(shifted, tol)
+    null = np.linalg.svd(shifted.scalar_matrix())[2][-1]
+    free = int(np.argmax(np.abs(null)))
+    order = [c for c in range(m) if c != free] + [free]
+    report = eliminate(ZeonMatrix([[row[c] for c in order] for row in shifted.entries]), tol)
     if report.pivot_count != m - 1:
         raise SpectralSimplicityError(
             f"(value I - A) reduced to {report.pivot_count} invertible pivots, "
@@ -130,7 +137,7 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
                 continue
             acc = acc.add(entry.mul(x[c], tol), tol)
         x[pcol] = acc.scale(-1).mul(upper[prow][pcol].inverse(tol), tol)
-    vec = ZeonVector(x)
+    vec = ZeonVector([x[order.index(c)] for c in range(m)])
     residual = shifted.mul(vec, tol).norm_inf()
     if residual > tol.compare * max(1.0, shifted.norm_inf()) * m:
         raise ZeonError(

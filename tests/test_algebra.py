@@ -15,6 +15,7 @@ from zeonalg import (
     ZeonElement,
     ZeonError,
 )
+from zeonalg.algebra import _dense_mul, _dict_mul
 
 from oracles import dense_mul, from_dense, max_dense_diff, rand_element, to_dense
 
@@ -85,6 +86,69 @@ class TestConstructionAndProducts:
         assert (u - u).is_zero()
         assert -u == Z(2, {0: -2, 1: -1})
         assert u == u + 1e-13  # below the comparison tolerance
+
+
+def random_terms(rng, n, count):
+    return {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            for m in rng.sample(range(1 << n), count)}
+
+
+class TestProductKernels:
+    """The array and dict kernels behind ZeonElement.mul, called directly."""
+
+    @staticmethod
+    def products(n, a, b):
+        """Both kernels' canonical products, each checked for canonical form."""
+        out = []
+        for terms in (_dense_mul(n, a, b, DEFAULT.prune), ZeonElement(n, _dict_mul(a, b)).terms):
+            assert all(0 <= m < 1 << n for m in terms)
+            assert all(abs(c) >= DEFAULT.prune for c in terms.values())
+            out.append([terms.get(m, 0j) for m in range(1 << n)])
+        return out
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_kernels_match_dense_oracle(self, n):
+        rng = random.Random(400 + n)
+        size = 1 << n
+        counts = sorted(c for c in {1, 2, size // 4, size // 2, size} if 1 <= c <= size)
+        for count_a in counts:
+            for count_b in counts:
+                a, b = random_terms(rng, n, count_a), random_terms(rng, n, count_b)
+                want = dense_mul([a.get(m, 0j) for m in range(size)],
+                                 [b.get(m, 0j) for m in range(size)])
+                bound = 1e-12 * max(1.0, max(abs(c) for c in want))
+                dense, by_dict = self.products(n, a, b)
+                assert max_dense_diff(dense, want) <= bound
+                assert max_dense_diff(by_dict, want) <= bound
+                assert max_dense_diff(dense, by_dict) <= bound
+
+    @pytest.mark.parametrize("n", [0, 3, 8])
+    def test_zero_and_scalar_operands(self, n):
+        rng = random.Random(410 + n)
+        b = random_terms(rng, n, 1 << n)
+        for a in ({}, {0: 1 + 0j}, {0: 2 - 3j}):
+            want = [a.get(0, 0j) * b.get(m, 0j) for m in range(1 << n)]
+            for got in self.products(n, a, b):
+                assert max_dense_diff(got, want) <= 1e-15 * max(1.0, max(map(abs, want)))
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_cancellation_below_prune_is_dropped(self, n):
+        rng = random.Random(420 + n)
+        u = random_terms(rng, n, 1 << n)
+        u[0] = 2.0 + 0j
+        inv = ZeonElement(n, u).inverse().terms
+        for got in self.products(n, u, inv):
+            assert abs(got[0] - 1) <= 1e-12
+            assert not any(got[1:])
+
+    def test_mul_matches_dict_kernel_across_the_crossover(self):
+        rng = random.Random(430)
+        for n in range(4, 9):
+            for count in (4, 1 << (n - 2), 1 << (n - 1), 1 << n):
+                a, b = random_terms(rng, n, count), random_terms(rng, n, count)
+                got = ZeonElement(n, a).mul(ZeonElement(n, b))
+                assert got.allclose(ZeonElement(n, _dict_mul(a, b)))
+                assert all(abs(c) >= DEFAULT.prune for c in got.terms.values())
 
 
 class TestStructuralMaps:

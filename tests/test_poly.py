@@ -360,6 +360,43 @@ class TestSplit:
             for g, w in zip(got, want):
                 assert g.max_diff(w) <= 1e-7
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_blade_roots_lift_or_raise(self, seed):
+        # Degree 8 over 16 generators, each root carrying ten random blades.
+        # The grade-by-grade lift can stop early on rounding residue; split
+        # must then raise instead of returning an unfinished zero.
+        rng = random.Random(seed)
+        degree, n = 8, 16
+        roots = []
+        for k in range(degree):
+            terms = {0: complex(-3.5 + k + rng.uniform(-0.2, 0.2), rng.uniform(-0.5, 0.5))}
+            for _ in range(10):
+                mask = rng.randrange(1, 1 << n)
+                terms[mask] = terms.get(mask, 0j) + complex(rng.uniform(-1, 1),
+                                                            rng.uniform(-1, 1))
+            roots.append(Z(n, terms))
+        phi = ZeonPolynomial.from_roots(roots)
+        scale = max(c.norm_inf() for c in phi.coeffs)
+        try:
+            zeros = split(phi)
+        except NonConvergenceError as exc:
+            assert isinstance(exc.report, ZeonElement)
+            return
+        assert len(zeros) == degree
+        for z in zeros:
+            assert phi.evaluate(z).norm_inf() <= 1e-8 * degree * scale
+
+    def test_sparse_roots_on_many_generators_lift(self):
+        rng = random.Random(7)
+        degree, n = 8, 16
+        gens = rng.sample(range(n), degree + 1)
+        roots = [Z(n, {0: -3.5 + k, 1 << gens[k]: rng.uniform(-1, 1),
+                       1 << gens[degree]: rng.uniform(-1, 1)}) for k in range(degree)]
+        phi = ZeonPolynomial.from_roots(roots)
+        got = sorted(split(phi), key=lambda z: z.scalar_part().real)
+        for g, w in zip(got, roots):
+            assert g.max_diff(w) <= 1e-8
+
     def test_descending_order(self):
         p = ZeonPolynomial.from_scalars(3, [-6, 11, -6, 1])
         zeros = split(p)
