@@ -85,6 +85,18 @@ def _subset_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
+def _convolve(n: int, x: np.ndarray, y: np.ndarray, op) -> np.ndarray:
+    """Blade convolution of two coefficient arrays indexed by mask on axis 0.
+
+    Sums op(x[k ^ j], y[j]) over the 3^n subset pairs j of k, grouped by
+    k. With op = np.multiply on 2^n vectors this is the element product;
+    with op = np.matmul on (2^n, r, k) and (2^n, k, c) stacks it is the
+    matrix product, every blade pair multiplied as one batch.
+    """
+    left, right, starts = _subset_pairs(n)
+    return np.add.reduceat(op(x[left], y[right]), starts, axis=0)
+
+
 def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],
                prune: float) -> dict[int, complex]:
     """Blade-convolution product on 2^n coefficient arrays, pruned below prune.
@@ -97,8 +109,7 @@ def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],
     x[np.fromiter(a, np.intp, len(a))] = np.fromiter(a.values(), complex, len(a))
     y = np.zeros(size, complex)
     y[np.fromiter(b, np.intp, len(b))] = np.fromiter(b.values(), complex, len(b))
-    left, right, starts = _subset_pairs(n)
-    out = np.add.reduceat(x[left] * y[right], starts)
+    out = _convolve(n, x, y, np.multiply)
     return {k: c for k, c in enumerate(out.tolist()) if abs(c) >= prune}
 
 
@@ -161,6 +172,20 @@ class ZeonElement:
         obj.terms = terms
         return obj
 
+    @classmethod
+    def _pruned(cls, n: int, terms: Mapping[int, complex], prune: float) -> "ZeonElement":
+        # Internal: canonical form of complex terms whose masks are valid,
+        # by the rule of __init__ (NaN dropped, infinities kept) but without
+        # re-checking masks or coercing values that arithmetic made.
+        kept: dict[int, complex] = {}
+        for mask, c in terms.items():
+            if abs(c) >= prune:
+                kept[mask] = c
+        obj = cls.__new__(cls)
+        obj.n = n
+        obj.terms = kept
+        return obj
+
     # ------------------------------------------------------------------
     # constructors
 
@@ -215,18 +240,24 @@ class ZeonElement:
         out = dict(self.terms)
         for mask, c in other.terms.items():
             out[mask] = out.get(mask, 0j) + c
-        return ZeonElement(self.n, out, tol)
+        return ZeonElement._pruned(self.n, out, tol.prune)
 
     def sub(self, other: "ZeonElement", tol: Tolerances = DEFAULT) -> "ZeonElement":
         self._require_same_n(other)
         out = dict(self.terms)
         for mask, c in other.terms.items():
             out[mask] = out.get(mask, 0j) - c
-        return ZeonElement(self.n, out, tol)
+        return ZeonElement._pruned(self.n, out, tol.prune)
 
     def scale(self, value: complex, tol: Tolerances = DEFAULT) -> "ZeonElement":
         c = complex(value)
-        return ZeonElement(self.n, {m: v * c for m, v in self.terms.items()}, tol)
+        prune = tol.prune
+        kept: dict[int, complex] = {}
+        for mask, v in self.terms.items():
+            p = v * c
+            if abs(p) >= prune:
+                kept[mask] = p
+        return ZeonElement._wrap(self.n, kept)
 
     def mul(self, other: "ZeonElement", tol: Tolerances = DEFAULT) -> "ZeonElement":
         """Blade-convolution product; disjoint masks merge, overlapping die.
@@ -238,7 +269,7 @@ class ZeonElement:
         n, a, b = self.n, self.terms, other.terms
         if n <= _DENSE_MAX_N and len(a) * len(b) >= _DENSE_MIN_PAIRS[n]:
             return ZeonElement._wrap(n, _dense_mul(n, a, b, tol.prune))
-        return ZeonElement(n, _dict_mul(a, b), tol)
+        return ZeonElement._pruned(n, _dict_mul(a, b), tol.prune)
 
     def pow(self, k: int, tol: Tolerances = DEFAULT) -> "ZeonElement":
         """Non-negative integer power by repeated squaring."""

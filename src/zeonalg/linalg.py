@@ -17,11 +17,30 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import ZeonElement
+from .algebra import _DENSE_MAX_N, ZeonElement, _convolve
 from .errors import DimensionMismatch, ParseError, SingularityError
 from .tolerances import DEFAULT, Tolerances
 
 _EPS = 2.0 ** -52
+
+# A product of two element grids on n <= _DENSE_MAX_N generators moves to
+# coefficient stacks when it makes at least _STACK_MIN_PRODUCTS[n] element
+# products (rows * inner * cols) and at least _STACK_MIN_PAIRS[n] stored-term
+# pairs, the sum over l of (terms in column l of A) * (terms in row l of B);
+# otherwise it loops over elements. The stacks cost a fixed numpy overhead
+# plus a 3^n-pair gather whatever the entries hold; the loop costs what the
+# stored pairs cost. Both tables come from a sweep over four product shapes
+# with m = 2..8, n = 0..8 and 1 to 2^n blades per entry, timed from element
+# grids to element grids, and let the stacks run only where they were at
+# least 10% faster than the loop.
+_STACK_MIN_PRODUCTS = (12, 12, 12, 12, 12, 12, 12, 27, 48)
+_STACK_MIN_PAIRS = (18, 28, 28, 50, 112, 450, 2200, 9000, 56000)
+
+
+def _use_stack(n: int, products: int, pairs) -> bool:
+    """Dispatch rule of matrix products; pairs() counts the stored-term pairs."""
+    return (n <= _DENSE_MAX_N and products >= _STACK_MIN_PRODUCTS[n]
+            and pairs() >= _STACK_MIN_PAIRS[n])
 
 
 class ZeonVector:
@@ -179,10 +198,52 @@ def outer(v: ZeonVector, w: ZeonVector, tol: Tolerances = DEFAULT) -> "ZeonMatri
                        for vi in v.entries])
 
 
-class ZeonMatrix:
-    """Dense matrix with zeon entries; square for most operations."""
+def _stack_of(entries: Sequence[Sequence[ZeonElement]], n: int) -> np.ndarray:
+    """(2^n, rows, cols) coefficient stack of a grid of elements."""
+    rows, cols = len(entries), len(entries[0])
+    cells = rows * cols
+    masks: list[int] = []
+    values: list[complex] = []
+    counts: list[int] = []
+    for row in entries:
+        for e in row:
+            masks.extend(e.terms)
+            values.extend(e.terms.values())
+            counts.append(len(e.terms))
+    flat = np.zeros(cells << n, complex)
+    flat[np.array(masks, np.intp) * cells + np.repeat(np.arange(cells), counts)] = values
+    return flat.reshape(1 << n, rows, cols)
 
-    __slots__ = ("rows", "cols", "entries")
+
+def _entries_of(stack: np.ndarray, n: int) -> tuple[tuple[ZeonElement, ...], ...]:
+    """Grid of elements holding the nonzero coefficients of a pruned stack."""
+    size, rows, cols = stack.shape
+    by_cell = stack.reshape(size, rows * cols).T
+    cell, mask = np.nonzero(by_cell)
+    values = by_cell[cell, mask].tolist()
+    masks = mask.tolist()
+    ends = np.cumsum(np.bincount(cell, minlength=rows * cols)).tolist()
+    elems = []
+    start = 0
+    for end in ends:
+        elems.append(ZeonElement._wrap(n, dict(zip(masks[start:end], values[start:end]))))
+        start = end
+    return tuple(tuple(elems[i * cols:(i + 1) * cols]) for i in range(rows))
+
+
+class ZeonMatrix:
+    """Dense matrix with zeon entries; square for most operations.
+
+    For n <= _DENSE_MAX_N a matrix can also hold its coefficients as a
+    (2^n, rows, cols) complex stack. Arithmetic runs on the stacks
+    whenever an operand already holds one; a product of two element
+    grids builds their stacks when _use_stack picks the stack kernel.
+    Results of stack arithmetic build their entries only when read.
+    Both forms are canonical: no kept coefficient is below the prune
+    tolerance of the operation that made it.
+    """
+
+    __slots__ = ("rows", "cols", "n", "_entries", "_stack")
 
     def __init__(self, entries: Iterable[Iterable[ZeonElement]]):
         rows = tuple(tuple(row) for row in entries)
@@ -198,9 +259,46 @@ class ZeonMatrix:
                     raise TypeError("matrix entries must be ZeonElement")
                 if e.n != n:
                     raise DimensionMismatch("matrix entries live in different algebras")
-        self.entries = rows
+        self._entries = rows
+        self._stack = None
         self.rows = len(rows)
         self.cols = cols
+        self.n = n
+
+    @classmethod
+    def _wrap(cls, entries: tuple[tuple[ZeonElement, ...], ...], n: int) -> "ZeonMatrix":
+        # Internal: adopt a checked grid of elements on n generators.
+        obj = cls.__new__(cls)
+        obj._entries = entries
+        obj._stack = None
+        obj.rows = len(entries)
+        obj.cols = len(entries[0])
+        obj.n = n
+        return obj
+
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray, n: int, tol: Tolerances) -> "ZeonMatrix":
+        # Internal: adopt a stack made by arithmetic, pruned here with the
+        # rule of ZeonElement.__init__ (NaN dropped, infinities kept).
+        stack[~(np.abs(stack) >= tol.prune)] = 0
+        obj = cls.__new__(cls)
+        obj._entries = None
+        obj._stack = stack
+        _, obj.rows, obj.cols = stack.shape
+        obj.n = n
+        return obj
+
+    @property
+    def entries(self) -> tuple[tuple[ZeonElement, ...], ...]:
+        if self._entries is None:
+            self._entries = _entries_of(self._stack, self.n)
+        return self._entries
+
+    def _coeffs(self) -> np.ndarray:
+        if self._stack is None:
+            self._stack = _stack_of(self._entries, self.n)
+        return self._stack
+
 
     @classmethod
     def identity(cls, m: int, n: int) -> "ZeonMatrix":
@@ -228,10 +326,6 @@ class ZeonMatrix:
                     for i in range(arr.shape[0])])
 
     @property
-    def n(self) -> int:
-        return self.entries[0][0].n
-
-    @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
@@ -249,19 +343,38 @@ class ZeonMatrix:
     def column(self, j: int) -> ZeonVector:
         return ZeonVector([self.entries[i][j] for i in range(self.rows)])
 
+    def _on_stack(self, other: "ZeonMatrix | None" = None) -> bool:
+        """True when an operand already holds a stack; arithmetic then stays on the stacks."""
+        return self._stack is not None or (other is not None and other._stack is not None)
+
     def add(self, other: "ZeonMatrix", tol: Tolerances = DEFAULT) -> "ZeonMatrix":
         self._require_same_shape(other)
+        if self._on_stack(other):
+            return ZeonMatrix._from_stack(self._coeffs() + other._coeffs(), self.n, tol)
         return ZeonMatrix([[a.add(b, tol) for a, b in zip(ra, rb)]
                            for ra, rb in zip(self.entries, other.entries)])
 
     def sub(self, other: "ZeonMatrix", tol: Tolerances = DEFAULT) -> "ZeonMatrix":
         self._require_same_shape(other)
+        if self._on_stack(other):
+            return ZeonMatrix._from_stack(self._coeffs() - other._coeffs(), self.n, tol)
         return ZeonMatrix([[a.sub(b, tol) for a, b in zip(ra, rb)]
                            for ra, rb in zip(self.entries, other.entries)])
 
     def scale(self, value, tol: Tolerances = DEFAULT) -> "ZeonMatrix":
+        """Entrywise product with a zeon element or a number."""
+        n = self.n
         if isinstance(value, ZeonElement):
+            if value.n != n:
+                raise DimensionMismatch(
+                    f"operands live in different algebras: n={n} vs n={value.n}")
+            if self._on_stack():
+                factor = _stack_of(((value,),), n)
+                return ZeonMatrix._from_stack(
+                    _convolve(n, self._stack, factor, np.multiply), n, tol)
             return ZeonMatrix([[e.mul(value, tol) for e in row] for row in self.entries])
+        if self._on_stack():
+            return ZeonMatrix._from_stack(self._stack * complex(value), n, tol)
         return ZeonMatrix([[e.scale(value, tol) for e in row] for row in self.entries])
 
     def mul(self, other, tol: Tolerances = DEFAULT):
@@ -269,27 +382,36 @@ class ZeonMatrix:
         if isinstance(other, ZeonVector):
             if self.cols != len(other) or self.n != other.n:
                 raise DimensionMismatch("matrix-vector shape mismatch")
-            out = []
-            for i in range(self.rows):
-                acc = ZeonElement.zero(self.n)
-                for k in range(self.cols):
-                    acc = acc.add(self.entries[i][k].mul(other.entries[k], tol), tol)
-                out.append(acc)
-            return ZeonVector(out)
+            column = ZeonMatrix._wrap(tuple((e,) for e in other.entries), self.n)
+            return ZeonVector(row[0] for row in self._product(column, tol).entries)
         if isinstance(other, ZeonMatrix):
             if self.cols != other.rows or self.n != other.n:
                 raise DimensionMismatch("matrix-matrix shape mismatch")
-            out_rows = []
-            for i in range(self.rows):
-                row = []
-                for j in range(other.cols):
-                    acc = ZeonElement.zero(self.n)
-                    for k in range(self.cols):
-                        acc = acc.add(self.entries[i][k].mul(other.entries[k][j], tol), tol)
-                    row.append(acc)
-                out_rows.append(row)
-            return ZeonMatrix(out_rows)
+            return self._product(other, tol)
         raise TypeError("can only multiply by ZeonMatrix or ZeonVector")
+
+    def _product(self, other: "ZeonMatrix", tol: Tolerances) -> "ZeonMatrix":
+        n = self.n
+
+        def pairs():
+            a = [[len(e.terms) for e in row] for row in self.entries]
+            b = [sum(len(e.terms) for e in row) for row in other.entries]
+            return sum(sum(col) * terms for col, terms in zip(zip(*a), b))
+
+        if self._on_stack(other) or _use_stack(n, self.rows * self.cols * other.cols, pairs):
+            return ZeonMatrix._from_stack(
+                _convolve(n, self._coeffs(), other._coeffs(), np.matmul), n, tol)
+        b = other.entries
+        out_rows = []
+        for row_a in self.entries:
+            row = []
+            for j in range(other.cols):
+                acc = ZeonElement.zero(n)
+                for x, row_b in zip(row_a, b):
+                    acc = acc.add(x.mul(row_b[j], tol), tol)
+                row.append(acc)
+            out_rows.append(tuple(row))
+        return ZeonMatrix._wrap(tuple(out_rows), n)
 
     def transpose(self) -> "ZeonMatrix":
         return ZeonMatrix([[self.entries[i][j] for i in range(self.rows)]
@@ -302,6 +424,9 @@ class ZeonMatrix:
 
     def trace(self, tol: Tolerances = DEFAULT) -> ZeonElement:
         self._require_square("trace")
+        if self._on_stack():
+            diagonal = np.trace(self._stack, axis1=1, axis2=2).tolist()
+            return ZeonElement._pruned(self.n, dict(enumerate(diagonal)), tol.prune)
         acc = ZeonElement.zero(self.n)
         for i in range(self.rows):
             acc = acc.add(self.entries[i][i], tol)
@@ -309,6 +434,8 @@ class ZeonMatrix:
 
     def scalar_matrix(self) -> np.ndarray:
         """Complex matrix of scalar parts."""
+        if self._on_stack():
+            return self._stack[0].copy()
         return np.array([[e.scalar_part() for e in row] for row in self.entries],
                         dtype=complex)
 
@@ -320,6 +447,8 @@ class ZeonMatrix:
         return ZeonMatrix([[e.conjugate() for e in row] for row in self.entries])
 
     def norm_inf(self) -> float:
+        if self._on_stack():
+            return float(np.abs(self._stack).max())
         return max(e.norm_inf() for row in self.entries for e in row)
 
     def is_zero(self, tol: Tolerances = DEFAULT) -> bool:

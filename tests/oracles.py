@@ -76,6 +76,22 @@ def dense_perm_det(matrix: ZeonMatrix) -> list[complex]:
     return acc
 
 
+def dense_matmul(a: list[list[list[complex]]],
+                 b: list[list[list[complex]]]) -> list[list[list[complex]]]:
+    """Matrix product of grids of dense entries, one dense_mul per term."""
+    size = len(a[0][0])
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = [0j] * size
+            for x, b_row in zip(row, b):
+                acc = dense_add(acc, dense_mul(x, b_row[j]))
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
 def dense_charpoly(matrix: ZeonMatrix) -> list[list[complex]]:
     """Coefficients (ascending) of det(t I - A) for m <= 3.
 

@@ -4,7 +4,9 @@ import cmath
 import json
 import math
 import random
+import struct
 
+import numpy as np
 import pytest
 
 from zeonalg import (
@@ -15,7 +17,7 @@ from zeonalg import (
     ZeonElement,
     ZeonError,
 )
-from zeonalg.algebra import _dense_mul, _dict_mul
+from zeonalg.algebra import _DENSE_MIN_PAIRS, _convolve, _dense_mul, _dict_mul
 
 from oracles import dense_mul, from_dense, max_dense_diff, rand_element, to_dense
 
@@ -149,6 +151,82 @@ class TestProductKernels:
                 got = ZeonElement(n, a).mul(ZeonElement(n, b))
                 assert got.allclose(ZeonElement(n, _dict_mul(a, b)))
                 assert all(abs(c) >= DEFAULT.prune for c in got.terms.values())
+
+
+def bits(terms):
+    """Coefficients as their IEEE bytes, so NaN and signed zeros compare exactly."""
+    return {m: struct.pack("<dd", c.real, c.imag) for m, c in terms.items()}
+
+
+class TestUnvalidatedArithmetic:
+    """add, sub, scale and mul prune their results directly instead of going
+    back through ZeonElement.__init__; the terms must be exactly those of
+    ZeonElement(n, raw, tol) built from the unpruned result."""
+
+    TOLS = (DEFAULT, Tolerances(prune=1e-6, compare=1e-6))
+
+    @staticmethod
+    def raw_add(a, b, sign):
+        out = dict(a.terms)
+        for m, c in b.terms.items():
+            out[m] = out.get(m, 0j) + c if sign > 0 else out.get(m, 0j) - c
+        return out
+
+    @staticmethod
+    def raw_mul(a, b):
+        n, x, y = a.n, a.terms, b.terms
+        if n <= 8 and len(x) * len(y) >= _DENSE_MIN_PAIRS[n]:
+            dense = [np.zeros(1 << n, complex) for _ in range(2)]
+            for arr, terms in zip(dense, (x, y)):
+                for m, c in terms.items():
+                    arr[m] = c
+            return dict(enumerate(_convolve(n, *dense, np.multiply).tolist()))
+        return _dict_mul(x, y)
+
+    def check(self, a, b, tol):
+        n = a.n
+        assert bits(a.add(b, tol).terms) == bits(ZeonElement(n, self.raw_add(a, b, 1), tol).terms)
+        assert bits(a.sub(b, tol).terms) == bits(ZeonElement(n, self.raw_add(a, b, -1), tol).terms)
+        assert bits(a.mul(b, tol).terms) == bits(ZeonElement(n, self.raw_mul(a, b), tol).terms)
+        for value in (2 - 0.5j, 1e-7, 0.0, -1):
+            raw = {m: v * complex(value) for m, v in a.terms.items()}
+            assert bits(a.scale(value, tol).terms) == bits(ZeonElement(n, raw, tol).terms)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_random_operands(self, tol):
+        rng = random.Random(450)
+        for n in (0, 1, 3, 5, 8, 9):
+            size = 1 << n
+            for count in sorted({1, max(1, size // 8), size // 2 or 1, min(size, 64)}):
+                a = ZeonElement(n, random_terms(rng, n, count))
+                b = ZeonElement(n, random_terms(rng, n, count))
+                self.check(a, b, tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_cancellations(self, tol):
+        rng = random.Random(460)
+        for n in (2, 5, 8):
+            a = ZeonElement(n, random_terms(rng, n, 1 << n))
+            # differences of 1e-8, of 1e-13 and just above prune
+            nudge = (1e-8, 1e-13, 2 * tol.prune)
+            b = ZeonElement(n, {m: c + nudge[m % 3] for m, c in a.terms.items()})
+            self.check(a, b, tol)
+            self.check(a, ZeonElement(n, a.terms).scale(-1), tol)
+            assert a.sub(b, tol).terms.keys() == {
+                m for m in a.terms if nudge[m % 3] >= tol.prune}
+
+    def test_scale_by_nan_and_inf(self):
+        rng = random.Random(470)
+        a = ZeonElement(4, random_terms(rng, 4, 16))
+        a = ZeonElement(4, {**a.terms, 1: 1 + 0j, 2: 1j})
+        for value in (math.nan, math.inf, -math.inf, complex(math.inf, 1), complex(0, math.nan)):
+            raw = {m: v * complex(value) for m, v in a.terms.items()}
+            got = a.scale(value)
+            assert bits(got.terms) == bits(ZeonElement(4, raw).terms)
+            assert not any(cmath.isnan(c) and not cmath.isinf(c) for c in got.terms.values())
+        assert a.scale(math.nan).terms == {}
+        assert all(cmath.isinf(c) for c in a.scale(math.inf).terms.values())
+        assert len(a.scale(math.inf).terms) == len(a.terms)
 
 
 class TestStructuralMaps:

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 from zeonalg import (
+    DEFAULT,
     DimensionMismatch,
     ParseError,
     RowOp,
     SingularityError,
+    Tolerances,
     ZeonElement,
     ZeonMatrix,
     ZeonVector,
@@ -27,13 +29,21 @@ from zeonalg import (
     spectral_seminorm,
 )
 
+from zeonalg import linalg
+
 from oracles import (
+    dense_add,
+    dense_matmul,
+    dense_mul,
     dense_perm_det,
+    dense_scale,
     from_dense,
+    max_dense_diff,
     rand_element,
     rand_matrix,
     rand_unitary_frame,
     rand_vector,
+    to_dense,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -464,3 +474,223 @@ class TestSerializationLinalg:
         axpy = RowOp("axpy", 0, 1, ZeonElement.scalar(2, -2))
         blob = axpy.to_json()
         assert blob["kind"] == "axpy" and "factor" in blob
+
+
+# ----------------------------------------------------------------------
+# coefficient stacks (n <= 8) against the dense oracle and the element loop
+
+def rand_grid(rng, rows, cols, n, count):
+    """rows x cols matrix whose entries hold `count` random blades each."""
+    return ZeonMatrix([[ZeonElement(n, {m: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                                        for m in rng.sample(range(1 << n), count)})
+                        for _ in range(cols)] for _ in range(rows)])
+
+
+def dense_grid(matrix):
+    return [[to_dense(e) for e in row] for row in matrix.entries]
+
+
+def on_stack(result):
+    """True when a fresh result came out of stack arithmetic: its entries
+    are built only when read."""
+    return result._entries is None
+
+
+def forms(matrix):
+    """The same matrix holding its entries only, both forms, and its stack only."""
+    both = ZeonMatrix(matrix.entries)
+    stack = both._coeffs().copy()
+    return ZeonMatrix(matrix.entries), both, ZeonMatrix._from_stack(stack, matrix.n, DEFAULT)
+
+
+def assert_canonical(matrix, prune=DEFAULT.prune):
+    for row in matrix.entries:
+        for e in row:
+            assert e.n == matrix.n
+            assert all(0 <= m < 1 << matrix.n for m in e.terms)
+            assert all(abs(c) >= prune for c in e.terms.values())
+
+
+def assert_matches(matrix, want):
+    assert (matrix.rows, matrix.cols) == (len(want), len(want[0]))
+    scale = max(1.0, max(abs(c) for row in want for cell in row for c in cell))
+    for got_row, want_row in zip(dense_grid(matrix), want):
+        for got, cell in zip(got_row, want_row):
+            assert max_dense_diff(got, cell) <= 1e-12 * scale
+    assert_canonical(matrix)
+
+
+@pytest.fixture(params=["stack", "loop"])
+def forced_path(request, monkeypatch):
+    """Run a test once with every product on the stack and once on the element loop."""
+    use_stack = request.param == "stack"
+    monkeypatch.setattr(linalg, "_use_stack", lambda n, products, pairs: use_stack and n <= 8)
+    return use_stack
+
+
+def blade_counts(n):
+    return sorted({1, max(1, (1 << n) // 4), 1 << n})
+
+
+class TestCoefficientStack:
+    @pytest.mark.parametrize("n", range(9))
+    def test_products_match_dense_oracle(self, n, forced_path):
+        rng = random.Random(600 + n)
+        for count in blade_counts(n):
+            for rows, inner, cols in ((3, 3, 3), (2, 3, 4), (4, 1, 2)):
+                a = rand_grid(rng, rows, inner, n, count)
+                b = rand_grid(rng, inner, cols, n, count)
+                got = a.mul(b)
+                assert on_stack(got) == forced_path
+                assert_matches(got, dense_matmul(dense_grid(a), dense_grid(b)))
+            a, v = rand_grid(rng, 2, 3, n, count), rand_grid(rng, 3, 1, n, count)
+            got = a.mul(ZeonVector(row[0] for row in v.entries))
+            want = dense_matmul(dense_grid(a), dense_grid(v))
+            assert_matches(ZeonMatrix([[e] for e in got.entries]), want)
+
+    @pytest.mark.parametrize("n", range(9))
+    def test_entrywise_operations_match_dense_oracle(self, n):
+        rng = random.Random(620 + n)
+        for count in blade_counts(n):
+            a = rand_grid(rng, 2, 3, n, count)
+            b = rand_grid(rng, 2, 3, n, count)
+            da, db = dense_grid(a), dense_grid(b)
+            factors = (2 - 1j, ZeonElement.scalar(n, -0.5j), rand_grid(rng, 1, 1, n, count)[0, 0])
+            sums = [[dense_add(p, q) for p, q in zip(r, t)] for r, t in zip(da, db)]
+            diffs = [[dense_add(p, dense_scale(q, -1)) for p, q in zip(r, t)]
+                     for r, t in zip(da, db)]
+            holds = (False, True, True)
+            # fresh operands for every operation: an entry-built operand
+            # caches its stack once stack arithmetic has needed it
+            for i, x_holds in enumerate(holds):
+                for j, y_holds in enumerate(holds):
+                    got = forms(a)[i].add(forms(b)[j])
+                    assert on_stack(got) == (x_holds or y_holds)
+                    assert_matches(got, sums)
+                    got = forms(a)[i].sub(forms(b)[j])
+                    assert on_stack(got) == (x_holds or y_holds)
+                    assert_matches(got, diffs)
+                for factor in factors:
+                    got = forms(a)[i].scale(factor)
+                    assert on_stack(got) == x_holds
+                    dense_factor = (to_dense(factor) if isinstance(factor, ZeonElement)
+                                    else to_dense(ZeonElement.scalar(n, factor)))
+                    assert_matches(got, [[dense_mul(p, dense_factor) for p in r] for r in da])
+                # numpy's complex abs may differ from Python's in the last bit
+                want = max(abs(c) for r in da for p in r for c in p)
+                assert forms(a)[i].norm_inf() == pytest.approx(want, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("n", [0, 4, 8])
+    def test_zero_and_scalar_matrices(self, n, forced_path):
+        rng = random.Random(640 + n)
+        a = rand_grid(rng, 3, 3, n, 1 << n)
+        zero = ZeonMatrix.zero(3, 3, n)
+        _, a_both, a_stack = forms(a)
+        for got in (zero.mul(a), a.mul(zero), a.scale(0), a.scale(ZeonElement.zero(n)), a.sub(a),
+                    a_stack.scale(0), a_stack.scale(ZeonElement.zero(n)), a_both.sub(a)):
+            assert all(not e.terms for row in got.entries for e in row)
+            assert got.norm_inf() == 0.0
+        for got in (zero.add(a), zero.add(a_stack)):
+            assert [[e.terms for e in row] for row in got.entries] == \
+                [[e.terms for e in row] for row in a.entries]
+        for got in (ZeonMatrix.identity(3, n).mul(a), a.mul(ZeonMatrix.identity(3, n))):
+            assert_matches(got, dense_grid(a))
+        shadow = np.array([[1, 2j, 0], [0.5, -1, 3], [0, 0, 2]])
+        scalar = ZeonMatrix.from_scalar_matrix(shadow, n)
+        assert_matches(scalar.mul(a), dense_matmul(dense_grid(scalar), dense_grid(a)))
+        assert np.array_equal(forms(scalar)[2].scalar_matrix(), shadow)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_cancellation_below_prune_is_dropped(self, n, forced_path):
+        rng = random.Random(660 + n)
+        dust = rand_grid(rng, 3, 3, n, 1 << n).scale(0.2)
+        a = dust.add(ZeonMatrix.from_scalar_matrix(4 * np.eye(3), n))
+        product = a.mul(mat_inverse(a))
+        assert_canonical(product)
+        for i, row in enumerate(product.entries):
+            for j, e in enumerate(row):
+                if i == j:
+                    assert list(e.terms) == [0] and abs(e.terms[0] - 1) <= 1e-12
+                else:
+                    assert e.terms == {}
+        nudged = ZeonMatrix([[e.add(ZeonElement.scalar(n, 1e-13)) for e in row]
+                             for row in a.entries])
+        for x in forms(nudged):
+            for y in forms(a):
+                diff = x.sub(y)
+                assert all(not e.terms for row in diff.entries for e in row)
+
+    def test_custom_prune_is_honoured(self, forced_path):
+        n = 5
+        tol = Tolerances(prune=1e-6, compare=1e-6)
+        rng = random.Random(680)
+        a = rand_grid(rng, 3, 3, n, 1 << n)
+        small = ZeonMatrix([[ZeonElement(n, {m: 1e-7 for m in range(1 << n)}) for _ in range(3)]
+                            for _ in range(3)])
+        ident = ZeonMatrix.identity(3, n)
+        for x in forms(small):
+            for op in (lambda t: x.scale(1.0, t), lambda t: x.add(ident.scale(0, t), t),
+                       lambda t: x.mul(ident, t), lambda t: x.scale(ZeonElement.one(n), t)):
+                assert all(not e.terms for row in op(tol).entries for e in row)
+                assert op(DEFAULT).norm_inf() == pytest.approx(1e-7)
+            for got in (a.mul(a, tol), x.add(a, tol), x.sub(a, tol)):
+                assert_canonical(got, tol.prune)
+                assert got.norm_inf() > 0
+            assert forms(a)[2].trace(tol).terms == a.trace(tol).terms
+
+    def test_dispatch_follows_the_operands(self):
+        rng = random.Random(690)
+        sparse = rand_grid(rng, 3, 3, 8, 1)
+        assert not on_stack(sparse.mul(sparse))
+        dense = rand_grid(rng, 6, 6, 8, 1 << 8)
+        assert on_stack(dense.mul(dense))
+        mid = rand_grid(rng, 8, 8, 4, 16)
+        assert on_stack(mid.mul(mid))
+        small = rand_grid(rng, 2, 2, 4, 16)
+        assert not on_stack(small.mul(small))
+        # an operand that already holds a stack keeps the product on the stacks
+        held = forms(sparse)[2]
+        assert on_stack(held.mul(sparse)) and on_stack(sparse.mul(held))
+        assert held._entries is None
+
+    def test_n9_runs_the_element_loop(self):
+        n = 9
+        rng = random.Random(700)
+        a, b = rand_grid(rng, 3, 3, n, 8), rand_grid(rng, 3, 3, n, 8)
+        c = rand_element(rng, n, terms=6)
+        got = a.mul(b)
+        assert not on_stack(got)
+        for i in range(3):
+            for j in range(3):
+                acc = ZeonElement.zero(n)
+                for k in range(3):
+                    acc = acc.add(a[i, k].mul(b[k, j]))
+                assert got[i, j].terms == acc.terms
+                assert a.add(b)[i, j].terms == a[i, j].add(b[i, j]).terms
+                assert a.sub(b)[i, j].terms == a[i, j].sub(b[i, j]).terms
+                assert a.scale(1.5j)[i, j].terms == a[i, j].scale(1.5j).terms
+                assert a.scale(c)[i, j].terms == a[i, j].mul(c).terms
+        v = ZeonVector(row[0] for row in b.entries)
+        assert a.mul(v).allclose(ZeonVector(row[0] for row in a.mul(b).entries))
+        assert a.norm_inf() == max(e.norm_inf() for row in a.entries for e in row)
+        assert all(m._stack is None for m in (a, b, got))
+
+    def test_stack_results_keep_the_matrix_interface(self):
+        n = 4
+        rng = random.Random(710)
+        a = rand_grid(rng, 2, 3, n, 1 << n)
+        got = forms(a)[2]
+        assert on_stack(got)
+        assert (got.rows, got.cols, got.n) == (2, 3, n)
+        assert isinstance(got.entries, tuple) and all(isinstance(r, tuple) for r in got.entries)
+        assert got[1, 2] is got.entries[1][2]
+        assert got.column(2).allclose(a.column(2)) and got.row(0).allclose(a.row(0))
+        assert got.to_json() == a.to_json()
+        assert ZeonMatrix.from_json(got.to_json()).allclose(a)
+        square = rand_grid(rng, 3, 3, n, 1 << n)
+        assert forms(square)[2].trace().allclose(square.trace())
+        assert np.array_equal(forms(square)[2].scalar_matrix(), square.scalar_matrix())
+        with pytest.raises(DimensionMismatch):
+            forms(a)[2].scale(ZeonElement.one(n + 1))
+        with pytest.raises(DimensionMismatch):
+            forms(a)[2].add(square)
