@@ -126,9 +126,6 @@ def _pretty_ops(ops) -> str:
     for op in ops:
         if op["kind"] == "swap":
             lines.append(f"swap rows {op['i']} and {op['j']}")
-        elif op["kind"] == "scale":
-            factor = ZeonElement.from_json(op["factor"])
-            lines.append(f"scale row {op['i']} by {factor.pretty(SIG)}")
         else:
             factor = ZeonElement.from_json(op["factor"])
             lines.append(f"add ({factor.pretty(SIG)}) * row {op['i']} to row {op['j']}")

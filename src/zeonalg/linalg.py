@@ -44,25 +44,28 @@ def _use_stack(n: int, products: int, pairs) -> bool:
 
 
 class ZeonVector:
-    """Column vector with zeon entries."""
+    """Column vector with zeon entries: a view of one m x 1 ZeonMatrix.
 
-    __slots__ = ("entries",)
+    Validation, arithmetic and JSON are the matrix's, so a vector shares
+    its coefficient stack and the product dispatch; arithmetic on a
+    vector returns a vector.
+    """
+
+    __slots__ = ("matrix",)
 
     def __init__(self, entries: Iterable[ZeonElement]):
-        entries = tuple(entries)
-        if not entries:
-            raise ValueError("vector needs at least one entry")
-        n = entries[0].n
-        for e in entries:
-            if not isinstance(e, ZeonElement):
-                raise TypeError("vector entries must be ZeonElement")
-            if e.n != n:
-                raise DimensionMismatch("vector entries live in different algebras")
-        self.entries = entries
+        self.matrix = ZeonMatrix([e] for e in entries)
+
+    @classmethod
+    def _of(cls, matrix: "ZeonMatrix") -> "ZeonVector":
+        # Internal: view a one-column matrix as a vector.
+        obj = cls.__new__(cls)
+        obj.matrix = matrix
+        return obj
 
     @classmethod
     def zero(cls, m: int, n: int) -> "ZeonVector":
-        return cls([ZeonElement.zero(n) for _ in range(m)])
+        return cls._of(ZeonMatrix.zero(m, 1, n))
 
     @classmethod
     def unit(cls, m: int, n: int, j: int) -> "ZeonVector":
@@ -71,11 +74,15 @@ class ZeonVector:
         return cls(entries)
 
     @property
+    def entries(self) -> tuple[ZeonElement, ...]:
+        return tuple(row[0] for row in self.matrix.entries)
+
+    @property
     def n(self) -> int:
-        return self.entries[0].n
+        return self.matrix.n
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.matrix.rows
 
     def __getitem__(self, i: int) -> ZeonElement:
         return self.entries[i]
@@ -84,33 +91,22 @@ class ZeonVector:
         return iter(self.entries)
 
     def add(self, other: "ZeonVector", tol: Tolerances = DEFAULT) -> "ZeonVector":
-        self._require_compatible(other)
-        return ZeonVector([a.add(b, tol) for a, b in zip(self.entries, other.entries)])
+        return ZeonVector._of(self.matrix.add(other.matrix, tol))
 
     def sub(self, other: "ZeonVector", tol: Tolerances = DEFAULT) -> "ZeonVector":
-        self._require_compatible(other)
-        return ZeonVector([a.sub(b, tol) for a, b in zip(self.entries, other.entries)])
+        return ZeonVector._of(self.matrix.sub(other.matrix, tol))
 
     def scale(self, value, tol: Tolerances = DEFAULT) -> "ZeonVector":
-        if isinstance(value, ZeonElement):
-            return ZeonVector([e.mul(value, tol) for e in self.entries])
-        return ZeonVector([e.scale(value, tol) for e in self.entries])
+        return ZeonVector._of(self.matrix.scale(value, tol))
 
     def conjugate(self) -> "ZeonVector":
-        return ZeonVector([e.conjugate() for e in self.entries])
+        return ZeonVector._of(self.matrix.conjugate())
 
     def norm_inf(self) -> float:
-        return max(e.norm_inf() for e in self.entries)
+        return self.matrix.norm_inf()
 
     def allclose(self, other: "ZeonVector", tol: Tolerances = DEFAULT) -> bool:
-        if not isinstance(other, ZeonVector) or len(self) != len(other):
-            return False
-        return all(a.allclose(b, tol) for a, b in zip(self.entries, other.entries))
-
-    def _require_compatible(self, other: "ZeonVector") -> None:
-        if len(self) != len(other) or self.n != other.n:
-            raise DimensionMismatch(
-                f"vector shapes differ: {len(self)} (n={self.n}) vs {len(other)} (n={other.n})")
+        return isinstance(other, ZeonVector) and self.matrix.allclose(other.matrix, tol)
 
     def __add__(self, other):
         return self.add(other) if isinstance(other, ZeonVector) else NotImplemented
@@ -119,7 +115,7 @@ class ZeonVector:
         return self.sub(other) if isinstance(other, ZeonVector) else NotImplemented
 
     def __neg__(self):
-        return ZeonVector([-e for e in self.entries])
+        return ZeonVector._of(-self.matrix)
 
     def __eq__(self, other):
         if not isinstance(other, ZeonVector):
@@ -128,15 +124,14 @@ class ZeonVector:
 
     def to_json(self) -> dict:
         """Vectors serialize as rows x 1 matrices."""
-        return {"rows": len(self), "cols": 1, "n": self.n,
-                "entries": [[e.to_json()] for e in self.entries]}
+        return self.matrix.to_json()
 
     @classmethod
     def from_json(cls, data, tol: Tolerances = DEFAULT) -> "ZeonVector":
         mat = ZeonMatrix.from_json(data, tol)
         if mat.cols != 1:
             raise ParseError(f"vector must have cols=1, got {mat.cols}")
-        return cls([row[0] for row in mat.entries])
+        return cls._of(mat)
 
     def pretty(self, sig: int = 12) -> str:
         return "[" + ", ".join(e.pretty(sig) for e in self.entries) + "]"
@@ -153,10 +148,7 @@ def inner_product(x: ZeonVector, y: ZeonVector, tol: Tolerances = DEFAULT) -> Ze
     """
     if len(x) != len(y) or x.n != y.n:
         raise DimensionMismatch("inner product needs vectors of equal shape")
-    acc = ZeonElement.zero(x.n)
-    for xe, ye in zip(x.entries, y.entries):
-        acc = acc.add(ye.conjugate().mul(xe, tol), tol)
-    return acc
+    return y.matrix.adjoint()._product(x.matrix, tol)[0, 0]
 
 
 def spectral_seminorm(x: ZeonVector, tol: Tolerances = DEFAULT) -> float:
@@ -194,8 +186,7 @@ def outer(v: ZeonVector, w: ZeonVector, tol: Tolerances = DEFAULT) -> "ZeonMatri
     """Rank-one matrix v w-adjoint, entries v_i conj(w_j)."""
     if v.n != w.n:
         raise DimensionMismatch("outer product needs vectors over the same algebra")
-    return ZeonMatrix([[vi.mul(wj.conjugate(), tol) for wj in w.entries]
-                       for vi in v.entries])
+    return v.matrix._product(w.matrix.adjoint(), tol)
 
 
 def _stack_of(entries: Sequence[Sequence[ZeonElement]], n: int) -> np.ndarray:
@@ -382,8 +373,7 @@ class ZeonMatrix:
         if isinstance(other, ZeonVector):
             if self.cols != len(other) or self.n != other.n:
                 raise DimensionMismatch("matrix-vector shape mismatch")
-            column = ZeonMatrix._wrap(tuple((e,) for e in other.entries), self.n)
-            return ZeonVector(row[0] for row in self._product(column, tol).entries)
+            return ZeonVector._of(self._product(other.matrix, tol))
         if isinstance(other, ZeonMatrix):
             if self.cols != other.rows or self.n != other.n:
                 raise DimensionMismatch("matrix-matrix shape mismatch")
@@ -558,7 +548,6 @@ class RowOp:
     """One elementary row operation.
 
     swap: exchange rows i and j.
-    scale: multiply row i by ``factor`` (must be invertible).
     axpy: add ``factor`` times row i into row j.
     """
 
@@ -570,8 +559,6 @@ class RowOp:
     def to_json(self) -> dict:
         if self.kind == "swap":
             return {"kind": "swap", "i": self.i, "j": self.j}
-        if self.kind == "scale":
-            return {"kind": "scale", "i": self.i, "factor": self.factor.to_json()}
         if self.kind == "axpy":
             return {"kind": "axpy", "i": self.i, "j": self.j,
                     "factor": self.factor.to_json()}
@@ -611,8 +598,6 @@ def apply_row_ops(matrix: ZeonMatrix, ops: Sequence[RowOp],
     for op in ops:
         if op.kind == "swap":
             rows[op.i], rows[op.j] = rows[op.j], rows[op.i]
-        elif op.kind == "scale":
-            rows[op.i] = [e.mul(op.factor, tol) for e in rows[op.i]]
         elif op.kind == "axpy":
             rows[op.j] = [rows[op.j][c].add(op.factor.mul(rows[op.i][c], tol), tol)
                           for c in range(len(rows[op.j]))]
@@ -621,18 +606,14 @@ def apply_row_ops(matrix: ZeonMatrix, ops: Sequence[RowOp],
     return ZeonMatrix(rows)
 
 
-def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT,
-              pivoting: str = "max_scalar") -> EliminationReport:
+def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationReport:
     """Forward Gaussian elimination with invertible pivots.
 
-    Pivot strategies: "max_scalar" picks the candidate row whose entry
-    has the largest scalar-part magnitude; "first_invertible" takes the
-    first row with an invertible entry. Columns offering no invertible
-    entry are skipped (their nilpotent residue stays put), which is how
-    rank deficiency over the algebra shows up in pivot_count.
+    The pivot is the candidate row whose entry has the largest
+    scalar-part magnitude. Columns offering no invertible entry are
+    skipped (their nilpotent residue stays put), which is how rank
+    deficiency over the algebra shows up in pivot_count.
     """
-    if pivoting not in ("max_scalar", "first_invertible"):
-        raise ValueError(f"unknown pivoting strategy {pivoting!r}")
     n = matrix.n
     m, ncols = matrix.rows, matrix.cols
     rows = [list(r) for r in matrix.entries]
@@ -644,17 +625,11 @@ def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT,
         if pr == m:
             break
         best = None
-        if pivoting == "max_scalar":
-            best_mag = tol.scalar_zero
-            for r in range(pr, m):
-                mag = abs(rows[r][col].scalar_part())
-                if mag > best_mag:
-                    best, best_mag = r, mag
-        else:
-            for r in range(pr, m):
-                if abs(rows[r][col].scalar_part()) > tol.scalar_zero:
-                    best = r
-                    break
+        best_mag = tol.scalar_zero
+        for r in range(pr, m):
+            mag = abs(rows[r][col].scalar_part())
+            if mag > best_mag:
+                best, best_mag = r, mag
         if best is None:
             continue
         if best != pr:

@@ -48,25 +48,23 @@ def char_poly(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> CharPoly:
     """
     matrix._require_square("characteristic polynomial")
     m, n = matrix.rows, matrix.n
-    identity = ZeonMatrix.identity(m, n)
     coeffs = [ZeonElement.zero(n) for _ in range(m + 1)]
     coeffs[m] = ZeonElement.one(n)
     mk = matrix
     c = mk.trace(tol).scale(-1, tol)
     coeffs[m - 1] = c
     for k in range(2, m + 1):
-        mk = matrix.mul(mk.add(identity.scale(c, tol), tol), tol)
+        mk = matrix.mul(mk.add(ZeonMatrix.diagonal([c] * m), tol), tol)
         c = mk.trace(tol).scale(-1.0 / k, tol)
         coeffs[m - k] = c
     return CharPoly(ZeonPolynomial(coeffs, tol))
 
 
 def _char_residual(matrix: ZeonMatrix, chi: ZeonPolynomial, tol: Tolerances) -> float:
-    m, n = matrix.rows, matrix.n
-    identity = ZeonMatrix.identity(m, n)
-    acc = identity.scale(chi.coeffs[-1], tol)
+    m = matrix.rows
+    acc = ZeonMatrix.diagonal([chi.coeffs[-1]] * m)
     for k in range(chi.degree - 1, -1, -1):
-        acc = acc.mul(matrix, tol).add(identity.scale(chi.coeffs[k], tol), tol)
+        acc = acc.mul(matrix, tol).add(ZeonMatrix.diagonal([chi.coeffs[k]] * m), tol)
     return acc.norm_inf()
 
 
@@ -111,7 +109,7 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
         value = ZeonElement.scalar(n, value, tol)
     if value.n != n:
         raise DimensionMismatch("eigenvalue lives in a different algebra")
-    shifted = ZeonMatrix.identity(m, n).scale(value, tol).sub(matrix, tol)
+    shifted = ZeonMatrix.diagonal([value] * m).sub(matrix, tol)
     null = np.linalg.svd(shifted.scalar_matrix())[2][-1]
     free = int(np.argmax(np.abs(null)))
     order = [c for c in range(m) if c != free] + [free]

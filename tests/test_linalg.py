@@ -35,6 +35,7 @@ from oracles import (
     dense_add,
     dense_matmul,
     dense_mul,
+    dense_one,
     dense_perm_det,
     dense_scale,
     from_dense,
@@ -233,14 +234,27 @@ class TestElimination:
 
     def test_replay_reproduces_upper(self):
         rng = random.Random(131)
-        for _ in range(15):
-            m = rng.randint(2, 4)
-            a = rand_matrix(rng, m, 3, kind="invertible")
+        cases = [rand_matrix(rng, rng.randint(2, 4), 3, kind="invertible") for _ in range(15)]
+        for a in cases:
+            m = a.rows
             report = eliminate(a)
+            assert report.pivot_count == m
             assert apply_row_ops(a, report.ops).allclose(report.upper)
             for j in range(m):
                 for i in range(j + 1, m):
                     assert report.upper.entries[i][j].norm_inf() <= 1e-9
+
+    def test_strategies_agree_on_pivot_count(self):
+        # The matrix and its rows reversed take different pivot rows under
+        # max-scalar pivoting, yet both must pivot every column.
+        rng = random.Random(137)
+        for _ in range(10):
+            a = rand_matrix(rng, 3, 3, kind="invertible")
+            flipped = ZeonMatrix(list(reversed(a.entries)))
+            r1, r2 = eliminate(a), eliminate(flipped)
+            assert r1.pivot_count == r2.pivot_count == 3
+            assert apply_row_ops(a, r1.ops).allclose(r1.upper)
+            assert apply_row_ops(flipped, r2.ops).allclose(r2.upper)
 
     def test_det_factor_tracks_swaps(self):
         a = ZeonMatrix([
@@ -250,15 +264,6 @@ class TestElimination:
         report = eliminate(a)
         assert report.det_factor == -1
         assert report.pivot_count == 2
-
-    def test_strategies_agree_on_pivot_count(self):
-        rng = random.Random(137)
-        for _ in range(10):
-            a = rand_matrix(rng, 3, 3, kind="invertible")
-            r1 = eliminate(a, pivoting="max_scalar")
-            r2 = eliminate(a, pivoting="first_invertible")
-            assert r1.pivot_count == r2.pivot_count == 3
-            assert apply_row_ops(a, r2.ops).allclose(r2.upper)
 
     def test_all_nilpotent_column_is_skipped(self):
         z1 = ZeonElement.generator(2, 1)
@@ -474,6 +479,12 @@ class TestSerializationLinalg:
         axpy = RowOp("axpy", 0, 1, ZeonElement.scalar(2, -2))
         blob = axpy.to_json()
         assert blob["kind"] == "axpy" and "factor" in blob
+        for kind in ("scale", "pivot"):
+            unknown = RowOp(kind, 0, 1, ZeonElement.scalar(2, 3))
+            with pytest.raises(ValueError):
+                unknown.to_json()
+            with pytest.raises(ValueError):
+                apply_row_ops(ZeonMatrix.identity(2, 2), [unknown])
 
 
 # ----------------------------------------------------------------------
@@ -694,3 +705,113 @@ class TestCoefficientStack:
             forms(a)[2].scale(ZeonElement.one(n + 1))
         with pytest.raises(DimensionMismatch):
             forms(a)[2].add(square)
+
+
+# ----------------------------------------------------------------------
+# vectors as one-column matrices
+
+def rand_column(rng, m, n, count):
+    """Vector of m entries, each `count` random blades plus 1.5 in the scalar part."""
+    return ZeonVector(row[0].add(ZeonElement.scalar(n, 1.5))
+                      for row in rand_grid(rng, m, 1, n, count).entries)
+
+
+def dense_vec(v):
+    return [to_dense(e) for e in v.entries]
+
+
+def dense_conj(a):
+    return [c.conjugate() for c in a]
+
+
+def dense_inner(dx, dy):
+    acc = [0j] * len(dx[0])
+    for p, q in zip(dx, dy):
+        acc = dense_add(acc, dense_mul(dense_conj(q), p))
+    return acc
+
+
+def assert_vector_matches(v, want):
+    assert isinstance(v, ZeonVector)
+    assert isinstance(v.entries, tuple) and len(v.entries) == len(v) == len(want)
+    assert all(isinstance(e, ZeonElement) for e in v.entries)
+    assert_matches(v.matrix, [[cell] for cell in want])
+
+
+class TestVectorView:
+    @pytest.mark.parametrize("n", range(10))
+    def test_operations_match_dense_oracle(self, n):
+        rng = random.Random(720 + n)
+        count = max(1, (1 << n) // 4) if n <= 8 else 8
+        a = rand_grid(rng, 3, 3, n, count).add(ZeonMatrix.from_scalar_matrix(2 * np.eye(3), n))
+        held = forms(a)[2] if n <= 8 else a
+        built = [rand_column(rng, 3, n, count) for _ in range(2)]
+        made = [held.mul(rand_column(rng, 3, n, count)) for _ in range(2)]
+        assert all((v.matrix._stack is not None) == (n <= 8) for v in made)
+        alpha = rand_element(rng, n, terms=3)
+        for x, y in (built, made, (built[0], made[1])):
+            rx, ry = ZeonVector(x.entries), ZeonVector(y.entries)
+            dx, dy = dense_vec(x), dense_vec(y)
+            cases = [
+                (lambda u, w: u.add(w), [dense_add(p, q) for p, q in zip(dx, dy)]),
+                (lambda u, w: u.sub(w), [dense_add(p, dense_scale(q, -1)) for p, q in zip(dx, dy)]),
+                (lambda u, w: u.scale(2 - 1j), [dense_scale(p, 2 - 1j) for p in dx]),
+                (lambda u, w: u.scale(alpha), [dense_mul(p, to_dense(alpha)) for p in dx]),
+                (lambda u, w: -u, [dense_scale(p, -1) for p in dx]),
+                (lambda u, w: u.conjugate(), [dense_conj(p) for p in dx]),
+            ]
+            for op, want in cases:
+                for u, w in ((x, y), (rx, ry)):
+                    assert_vector_matches(op(u, w), want)
+            for u, w in ((x, y), (rx, ry)):
+                got = inner_product(u, w)
+                assert isinstance(got, ZeonElement)
+                assert_matches(ZeonMatrix([[got]]), [[dense_inner(dx, dy)]])
+                got = outer(u, w)
+                assert isinstance(got, ZeonMatrix)
+                assert_matches(got, [[dense_mul(p, dense_conj(q)) for q in dy] for p in dx])
+                unit = normalize(u)
+                factor = to_dense(inner_product(u, u).inverse().kth_root(2))
+                assert_vector_matches(unit, [dense_mul(p, factor) for p in dx])
+                assert max_dense_diff(dense_inner(dense_vec(unit), dense_vec(unit)),
+                                      dense_one(n)) <= 1e-12
+            assert x.allclose(rx) and rx.allclose(x) and x == rx
+            assert not x.allclose(x.scale(2)) and not x.allclose(a)
+            assert x.norm_inf() == pytest.approx(rx.norm_inf(), rel=1e-15, abs=0)
+            blob = json.loads(json.dumps(x.to_json()))
+            assert blob == rx.to_json()
+            assert set(blob) == {"rows", "cols", "n", "entries"}
+            assert (blob["rows"], blob["cols"], blob["n"]) == (3, 1, n)
+            assert ZeonVector.from_json(blob).to_json() == blob
+            assert len(x) == 3 and list(x) == list(x.entries) and x[1] is x.entries[1]
+            assert x.pretty() == rx.pretty() and repr(x) == repr(rx)
+
+    @pytest.mark.parametrize("n", [0, 5, 8])
+    def test_stack_vectors_stay_on_stacks(self, n):
+        rng = random.Random(740 + n)
+        held = forms(rand_grid(rng, 3, 3, n, 1 << n))[2]
+        x = held.mul(rand_column(rng, 3, n, 1))
+        results = (x.add(x).matrix, x.scale(ZeonElement.one(n)).matrix, outer(x, x),
+                   normalize(x).matrix, held.mul(x).matrix)
+        assert all(on_stack(r) for r in results)
+
+    def test_mismatched_shapes_raise(self):
+        rng = random.Random(750)
+        x = rand_column(rng, 3, 3, 2)
+        held = forms(rand_grid(rng, 3, 3, 3, 8))[2].mul(x)
+        for v in (x, held):
+            for other in (ZeonVector.zero(2, 3), ZeonVector.zero(3, 4)):
+                for op in (v.add, v.sub, lambda o: inner_product(v, o),
+                           lambda o: inner_product(o, v)):
+                    with pytest.raises(DimensionMismatch):
+                        op(other)
+            with pytest.raises(DimensionMismatch):
+                outer(v, ZeonVector.zero(3, 4))
+            with pytest.raises(DimensionMismatch):
+                v.scale(ZeonElement.one(4))
+            with pytest.raises(DimensionMismatch):
+                rand_grid(rng, 3, 2, 3, 1).mul(v)
+        with pytest.raises(DimensionMismatch):
+            ZeonVector([ZeonElement.one(3), ZeonElement.one(4)])
+        with pytest.raises(ValueError):
+            ZeonVector([])
