@@ -64,11 +64,6 @@ def blade_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), indices_from_mask(mask))
 
 
-def principal_root(value: complex, k: int) -> complex:
-    """Principal complex kth root, exp(log(value) / k)."""
-    return cmath.exp(cmath.log(value) / k)
-
-
 def _subset_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Index tables of subset convolution on n generators, built once per n.
 
@@ -126,6 +121,26 @@ def _dict_mul(a: Mapping[int, complex], b: Mapping[int, complex]) -> dict[int, c
             k = i | j
             out[k] = get(k, 0j) + x * y
     return out
+
+
+def _binomial_series(x, alpha: float, one, tol: Tolerances):
+    """(1 + x)^alpha = sum_j binom(alpha, j) x^j for x with nilpotent entries.
+
+    x^(n+1) = 0 on n generators, so the sum is finite. Only add, scale,
+    mul and norm_inf are used, so x can be a ZeonElement (one = 1) or a
+    ZeonMatrix (one = the identity).
+    """
+    acc = one
+    power = x
+    coeff = 1.0
+    for j in range(1, x.n + 1):
+        if not power.norm_inf():
+            break
+        coeff *= (alpha - j + 1) / j
+        acc = acc.add(power.scale(coeff, tol), tol)
+        if j < x.n:
+            power = power.mul(x, tol)
+    return acc
 
 
 def _format_real(x: float, sig: int) -> str:
@@ -330,7 +345,7 @@ class ZeonElement:
 
     def norm_inf(self) -> float:
         """Largest coefficient magnitude (0.0 for the zero element)."""
-        return max((abs(c) for c in self.terms.values()), default=0.0)
+        return max(map(abs, self.terms.values()), default=0.0)
 
     def is_zero(self, tol: Tolerances = DEFAULT) -> bool:
         return self.norm_inf() <= tol.compare
@@ -358,39 +373,27 @@ class ZeonElement:
     # ------------------------------------------------------------------
     # inversion, roots, nilpotency
 
-    def inverse(self, tol: Tolerances = DEFAULT) -> "ZeonElement":
-        """Multiplicative inverse via the finite geometric series.
+    def _power(self, alpha: float, tol: Tolerances = DEFAULT) -> "ZeonElement":
+        """Principal power u^alpha = c^alpha (1 + x)^alpha, c the scalar part, x = dual / c.
 
-        With u = c + d (scalar plus nilpotent dual), the inverse is
-        (1/c) * sum_j (-1)^j c^{-j} d^j; the series stops on its own
-        because d^{n+1} = 0.
+        Integer alpha takes c ** alpha, any other the principal branch
+        exp(alpha log c).
         """
         c = self.scalar_part()
         if abs(c) <= tol.scalar_zero:
             raise SingularityError(
                 f"scalar part {c:.3g} is within scalar-zero tolerance; not invertible")
-        d = self.dual_part()
-        inv_c = 1 / c
-        acc = ZeonElement.one(self.n)
-        power = d
-        j = 1
-        while power.terms and j <= self.n:
-            acc = acc.add(power.scale((-inv_c) ** j), tol)
-            power = power.mul(d, tol)
-            j += 1
-        return acc.scale(inv_c, tol)
+        x = self.dual_part().scale(1 / c, tol)
+        series = _binomial_series(x, alpha, ZeonElement.one(self.n), tol)
+        power = c ** alpha if isinstance(alpha, int) else cmath.exp(alpha * cmath.log(c))
+        return series.scale(power, tol)
+
+    def inverse(self, tol: Tolerances = DEFAULT) -> "ZeonElement":
+        """Multiplicative inverse, the binomial series of u^-1."""
+        return self._power(-1, tol)
 
     def kth_root(self, k: int, tol: Tolerances = DEFAULT) -> "ZeonElement":
-        """Principal kth root of an invertible element.
-
-        Writing w = phi + z_h psi, where z_h is the highest generator
-        appearing in w and neither phi nor psi involves z_h, the root
-        recursion is
-
-            w^{1/k} = phi^{1/k} + z_h * (1/k) * phi^{-1} * phi^{1/k} * psi
-
-        with the principal complex root at the scalar base case.
-        """
+        """Principal kth root of an invertible element, the binomial series of u^(1/k)."""
         k = int(k)
         if k < 1:
             raise ZeonError("root order must be a positive integer")
@@ -398,21 +401,7 @@ class ZeonElement:
             raise SingularityError("kth root requires an invertible element")
         if k == 1:
             return self
-        return self._kth_root(k, tol)
-
-    def _kth_root(self, k: int, tol: Tolerances) -> "ZeonElement":
-        present = 0
-        for m in self.terms:
-            present |= m
-        if present == 0:
-            return ZeonElement.scalar(self.n, principal_root(self.scalar_part(), k), tol)
-        bit = 1 << (present.bit_length() - 1)
-        phi = ZeonElement._wrap(self.n, {m: c for m, c in self.terms.items() if not m & bit})
-        psi = ZeonElement._wrap(self.n, {m ^ bit: c for m, c in self.terms.items() if m & bit})
-        root = phi._kth_root(k, tol)
-        z_h = ZeonElement._wrap(self.n, {bit: 1 + 0j})
-        correction = phi.inverse(tol).mul(root, tol).mul(psi, tol).scale(1 / k, tol)
-        return root.add(z_h.mul(correction, tol), tol)
+        return self._power(1 / k, tol)
 
     def nilpotency_index(self, tol: Tolerances = DEFAULT) -> int:
         """Least kappa with u^kappa = 0; defined only for nilpotent u."""

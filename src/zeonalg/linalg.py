@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _DENSE_MAX_N, ZeonElement, _convolve
+from .algebra import _DENSE_MAX_N, ZeonElement, _binomial_series, _convolve
 from .errors import DimensionMismatch, ParseError, SingularityError
 from .tolerances import DEFAULT, Tolerances
 
@@ -85,7 +85,7 @@ class ZeonVector:
         return self.matrix.rows
 
     def __getitem__(self, i: int) -> ZeonElement:
-        return self.entries[i]
+        return self.matrix.entries[i][0]
 
     def __iter__(self):
         return iter(self.entries)
@@ -163,8 +163,7 @@ def normalize(x: ZeonVector, tol: Tolerances = DEFAULT) -> ZeonVector:
     if abs(s.scalar_part()) <= tol.scalar_zero:
         raise SingularityError(
             "cannot normalize a null vector: <x, x> has zero scalar part")
-    factor = s.inverse(tol).kth_root(2, tol)
-    return x.scale(factor, tol)
+    return x.scale(s._power(-0.5, tol), tol)
 
 
 def orthonormalize(vectors: Sequence[ZeonVector], tol: Tolerances = DEFAULT) -> list[ZeonVector]:
@@ -268,10 +267,12 @@ class ZeonMatrix:
         return obj
 
     @classmethod
-    def _from_stack(cls, stack: np.ndarray, n: int, tol: Tolerances) -> "ZeonMatrix":
+    def _from_stack(cls, stack: np.ndarray, n: int, tol: Tolerances | None) -> "ZeonMatrix":
         # Internal: adopt a stack made by arithmetic, pruned here with the
-        # rule of ZeonElement.__init__ (NaN dropped, infinities kept).
-        stack[~(np.abs(stack) >= tol.prune)] = 0
+        # rule of ZeonElement.__init__ (NaN dropped, infinities kept), or
+        # as it is when tol is None because it is already pruned.
+        if tol is not None:
+            stack[~(np.abs(stack) >= tol.prune)] = 0
         obj = cls.__new__(cls)
         obj._entries = None
         obj._stack = stack
@@ -290,12 +291,9 @@ class ZeonMatrix:
             self._stack = _stack_of(self._entries, self.n)
         return self._stack
 
-
     @classmethod
     def identity(cls, m: int, n: int) -> "ZeonMatrix":
-        one = ZeonElement.one(n)
-        zero = ZeonElement.zero(n)
-        return cls([[one if i == j else zero for j in range(m)] for i in range(m)])
+        return cls.diagonal([ZeonElement.one(n)] * m)
 
     @classmethod
     def zero(cls, rows: int, cols: int, n: int) -> "ZeonMatrix":
@@ -404,13 +402,13 @@ class ZeonMatrix:
         return ZeonMatrix._wrap(tuple(out_rows), n)
 
     def transpose(self) -> "ZeonMatrix":
-        return ZeonMatrix([[self.entries[i][j] for i in range(self.rows)]
-                           for j in range(self.cols)])
+        if self._on_stack():
+            return ZeonMatrix._from_stack(self._stack.transpose(0, 2, 1), self.n, None)
+        return ZeonMatrix._wrap(tuple(zip(*self.entries)), self.n)
 
     def adjoint(self) -> "ZeonMatrix":
         """Conjugate transpose."""
-        return ZeonMatrix([[self.entries[i][j].conjugate() for i in range(self.rows)]
-                           for j in range(self.cols)])
+        return self.transpose().conjugate()
 
     def trace(self, tol: Tolerances = DEFAULT) -> ZeonElement:
         self._require_square("trace")
@@ -431,10 +429,19 @@ class ZeonMatrix:
 
     def dual(self) -> "ZeonMatrix":
         """Entrywise dual part; all entries nilpotent."""
-        return ZeonMatrix([[e.dual_part() for e in row] for row in self.entries])
+        return self._map(lambda s: np.concatenate((np.zeros_like(s[:1]), s[1:])),
+                         ZeonElement.dual_part)
 
     def conjugate(self) -> "ZeonMatrix":
-        return ZeonMatrix([[e.conjugate() for e in row] for row in self.entries])
+        return self._map(np.conj, ZeonElement.conjugate)
+
+    def _map(self, on_stack, on_element) -> "ZeonMatrix":
+        # Internal: an entrywise map that keeps every magnitude, so a pruned
+        # stack stays pruned and a stack-only matrix stays on its stack.
+        if self._on_stack():
+            return ZeonMatrix._from_stack(on_stack(self._stack), self.n, None)
+        return ZeonMatrix._wrap(tuple(tuple(map(on_element, row)) for row in self.entries),
+                                self.n)
 
     def norm_inf(self) -> float:
         if self._on_stack():
@@ -482,7 +489,7 @@ class ZeonMatrix:
         return self.sub(other) if isinstance(other, ZeonMatrix) else NotImplemented
 
     def __neg__(self):
-        return ZeonMatrix([[-e for e in row] for row in self.entries])
+        return self._map(np.negative, ZeonElement.__neg__)
 
     def __matmul__(self, other):
         return self.mul(other)
@@ -684,30 +691,26 @@ def _det_permutation(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
     return acc
 
 
-def determinant(matrix: ZeonMatrix, tol: Tolerances = DEFAULT,
-                method: str = "auto") -> ZeonElement:
-    """Determinant over the algebra.
+# Largest size on which determinant takes the permutation sum; elimination above.
+_DET_PERMUTATION_MAX = 4
 
-    "permutation" sums signed products over all permutations (exact, used
-    by default up to 4x4). "elimination" reads it off ``eliminate``: rows
-    without a pivot are zero in every pivot column, so with the pivot
-    columns first the reduced matrix is [[P, X], [0, N]], P triangular
-    with the pivots on its diagonal and N the leftover nilpotent block:
-    det = det_factor^-1 * sign(column order) * prod(pivots) * det N,
-    with det N by the permutation sum (N is empty at full pivot rank).
+
+def _det_elimination(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
+    """Determinant read off ``eliminate``.
+
+    Rows without a pivot are zero in every pivot column, so with the
+    pivot columns first the reduced matrix is [[P, X], [0, N]], P
+    triangular with the pivots on its diagonal and N the leftover
+    nilpotent block: det = det_factor * sign(column order) * prod(pivots)
+    * det N, with det N by the permutation sum (N is empty at full pivot
+    rank). det_factor is +-1, its own inverse: elimination only swaps
+    rows and adds multiples of rows.
     """
-    matrix._require_square("determinant")
-    if method == "auto":
-        method = "permutation" if matrix.rows <= 4 else "elimination"
-    if method == "permutation":
-        return _det_permutation(matrix, tol)
-    if method != "elimination":
-        raise ValueError(f"unknown determinant method {method!r}")
     report = eliminate(matrix, tol)
     upper = report.upper.entries
     pivot_cols = [col for _, col in report.pivots]
     free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
-    det = report.det_factor.inverse(tol)
+    det = report.det_factor
     if sum(p > f for p in pivot_cols for f in free_cols) & 1:
         det = -det
     for row, col in report.pivots:
@@ -719,12 +722,20 @@ def determinant(matrix: ZeonMatrix, tol: Tolerances = DEFAULT,
     return det
 
 
+def determinant(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonElement:
+    """Determinant over the algebra; both of its algorithms are exact."""
+    matrix._require_square("determinant")
+    if matrix.rows <= _DET_PERMUTATION_MAX:
+        return _det_permutation(matrix, tol)
+    return _det_elimination(matrix, tol)
+
+
 def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:
-    """Inverse via the nilpotent series.
+    """Inverse through the binomial series of (I + D)^-1.
 
     Writing A = (I + D) C with C the scalar part and D = dual(A) C^{-1},
-    the inverse is C^{-1} sum_l (-1)^l D^l; the series terminates because
-    entries of D are nilpotent, so D^(n+1) = 0.
+    the inverse is C^{-1} (I + D)^{-1}; the series ends because entries
+    of D are nilpotent, so D^(n+1) = 0.
     """
     matrix._require_square("inverse")
     c = matrix.scalar_matrix()
@@ -733,11 +744,5 @@ def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:
         raise SingularityError("scalar part of the matrix is singular within tolerance")
     c_inv = ZeonMatrix.from_scalar_matrix(np.linalg.inv(c), matrix.n, tol)
     nilpotent = matrix.dual().mul(c_inv, tol)
-    series = ZeonMatrix.identity(matrix.rows, matrix.n)
-    power = nilpotent
-    ell = 1
-    while power.norm_inf() > 0 and ell <= matrix.n:
-        series = series.add(power.scale((-1) ** ell), tol)
-        power = power.mul(nilpotent, tol)
-        ell += 1
+    series = _binomial_series(nilpotent, -1, ZeonMatrix.identity(matrix.rows, matrix.n), tol)
     return c_inv.mul(series, tol)

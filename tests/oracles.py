@@ -8,6 +8,7 @@ implementation.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 
 from zeonalg import ZeonElement, ZeonMatrix, ZeonVector, orthonormalize, outer
@@ -146,6 +147,46 @@ def sequential_lift(phi, lam0: complex) -> ZeonElement:
         component = phi.evaluate(lam).grade_part(grade)
         lam = lam.sub(component.scale(1 / g0))
     return lam
+
+
+def geometric_inverse(u: ZeonElement) -> ZeonElement:
+    """Inverse by the geometric series (1/c) sum_j (-d/c)^j, d the dual part.
+
+    The series is summed until its next power vanishes, which it does
+    once j exceeds n.
+    """
+    c = u.scalar_part()
+    step = u.dual_part().scale(-1 / c)
+    acc = ZeonElement.one(u.n)
+    power = step
+    while power.terms:
+        acc = acc.add(power)
+        power = power.mul(step)
+    return acc.scale(1 / c)
+
+
+def recursive_kth_root(u: ZeonElement, k: int) -> ZeonElement:
+    """Principal kth root by recursion on the highest generator present.
+
+    Writing u = phi + z_h psi, where z_h is the highest generator in u
+    and neither phi nor psi involves it,
+
+        u^{1/k} = phi^{1/k} + z_h * (1/k) * phi^{-1} * phi^{1/k} * psi
+
+    with the principal complex root exp(log(c) / k) at the scalar base case.
+    """
+    present = 0
+    for m in u.terms:
+        present |= m
+    if present == 0:
+        return ZeonElement.scalar(u.n, cmath.exp(cmath.log(u.scalar_part()) / k))
+    bit = 1 << (present.bit_length() - 1)
+    phi = ZeonElement(u.n, {m: c for m, c in u.terms.items() if not m & bit})
+    psi = ZeonElement(u.n, {m ^ bit: c for m, c in u.terms.items() if m & bit})
+    root = recursive_kth_root(phi, k)
+    z_h = ZeonElement(u.n, {bit: 1})
+    correction = geometric_inverse(phi).mul(root).mul(psi).scale(1 / k)
+    return root.add(z_h.mul(correction))
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from zeonalg import (
 )
 
 from zeonalg import linalg
+from zeonalg.linalg import _det_elimination, _det_permutation
 
 from oracles import (
     dense_add,
@@ -300,8 +301,9 @@ def _with_nilpotent_lines(rng, m, n, columns, nilpotent_row=False):
 class TestDeterminant:
     def test_worked_example(self, det_matrix):
         expected = Z(3, {0: 4, 0b001: 6, 0b010: -2, 0b011: -3, 0b111: -4})
-        for method in ("permutation", "elimination", "auto"):
-            assert determinant(det_matrix, method=method).allclose(expected)
+        for det in (_det_permutation, _det_elimination):
+            assert det(det_matrix, DEFAULT).allclose(expected)
+        assert determinant(det_matrix).allclose(expected)
 
     def test_row_swap_flips_sign(self, det_matrix):
         d = determinant(det_matrix)
@@ -332,8 +334,15 @@ class TestDeterminant:
                                                nilpotent_row=rng.random() < 0.3))
         for a in cases:
             want = from_dense(dense_perm_det(a), a.n)
-            assert determinant(a, method="permutation").allclose(want)
-            assert determinant(a, method="elimination").allclose(want)
+            assert _det_permutation(a, DEFAULT).allclose(want)
+            assert _det_elimination(a, DEFAULT).allclose(want)
+
+    def test_size_picks_the_algorithm(self):
+        rng = random.Random(153)
+        for m in range(1, 7):
+            a = rand_matrix(rng, m, 3, kind="invertible")
+            want = _det_permutation(a, DEFAULT) if m <= 4 else _det_elimination(a, DEFAULT)
+            assert determinant(a).terms == want.terms
 
     def test_multiplicative(self):
         rng = random.Random(157)
@@ -366,13 +375,12 @@ class TestDeterminant:
         z3 = ZeonElement.generator(3, 3)
         a = ZeonMatrix([[z1, z2], [z3, z1]])
         want = z2.mul(z3).scale(-1)  # z1*z1 - z2*z3
-        assert determinant(a, method="permutation").allclose(want)
-        assert determinant(a, method="elimination").allclose(want)
+        assert _det_permutation(a, DEFAULT).allclose(want)
+        assert _det_elimination(a, DEFAULT).allclose(want)
         # pivots fall in columns 0, 2, 3, 5, so the columns must be reordered
         b = _with_nilpotent_lines(random.Random(172), 6, 3, [1, 4])
         assert eliminate(b).pivot_count == 4
-        assert determinant(b, method="elimination").allclose(
-            determinant(b, method="permutation"))
+        assert _det_elimination(b, DEFAULT).allclose(_det_permutation(b, DEFAULT))
 
     def test_nilpotent_row_gives_nilpotent_det(self):
         rng = random.Random(173)
@@ -815,3 +823,51 @@ class TestVectorView:
             ZeonVector([ZeonElement.one(3), ZeonElement.one(4)])
         with pytest.raises(ValueError):
             ZeonVector([])
+
+    @pytest.mark.parametrize("n", [0, 5, 9])
+    def test_indexing_reads_one_entry(self, n):
+        rng = random.Random(760 + n)
+        for v in (rand_column(rng, 3, n, 1), ZeonVector(rand_column(rng, 3, n, 1).entries)):
+            for i in range(-3, 3):
+                assert v[i] is v.matrix.entries[i][0]
+                assert v[i] is v.entries[i]
+            with pytest.raises(IndexError):
+                v[3]
+
+
+MAPS = {
+    "transpose": (ZeonMatrix.transpose, lambda e: e, True),
+    "adjoint": (ZeonMatrix.adjoint, ZeonElement.conjugate, True),
+    "conjugate": (ZeonMatrix.conjugate, ZeonElement.conjugate, False),
+    "dual": (ZeonMatrix.dual, ZeonElement.dual_part, False),
+    "negate": (ZeonMatrix.__neg__, ZeonElement.__neg__, False),
+}
+
+
+class TestEntrywiseMaps:
+    @pytest.mark.parametrize("name", MAPS)
+    @pytest.mark.parametrize("n", range(10))
+    def test_maps_match_elements_and_keep_the_form(self, n, name):
+        fn, on_element, transposes = MAPS[name]
+        rng = random.Random(770 + n)
+        for count in blade_counts(n):
+            a = rand_grid(rng, 2, 3, n, count)
+            a = a.add(ZeonMatrix([[ZeonElement.scalar(n, 1 - 2j)] * 3] * 2))
+            want = [[on_element(e) for e in row] for row in a.entries]
+            if transposes:
+                want = [list(col) for col in zip(*want)]
+            held = forms(a) if n <= 8 else (a,)
+            for form in held:
+                before = dense_grid(form)
+                got = fn(form)
+                assert [[e.terms for e in row] for row in got.entries] == \
+                    [[e.terms for e in row] for row in want]
+                assert (got.rows, got.cols, got.n) == (len(want), len(want[0]), n)
+                assert (got._stack is not None) == (form._stack is not None)
+                assert_canonical(got)
+                assert dense_grid(form) == before
+            if n <= 8:
+                got = fn(held[2])
+                assert on_stack(got)
+                assert_matches(got.add(got), [[dense_scale(to_dense(e), 2) for e in row]
+                                              for row in want])
