@@ -124,11 +124,10 @@ SIG = 6  # significant figures for pretty output
 def _pretty_ops(ops) -> str:
     lines = []
     for op in ops:
-        if op["kind"] == "swap":
-            lines.append(f"swap rows {op['i']} and {op['j']}")
+        if op.kind == "swap":
+            lines.append(f"swap rows {op.i} and {op.j}")
         else:
-            factor = ZeonElement.from_json(op["factor"])
-            lines.append(f"add ({factor.pretty(SIG)}) * row {op['i']} to row {op['j']}")
+            lines.append(f"add ({op.factor.pretty(SIG)}) * row {op.i} to row {op.j}")
     return "\n".join(lines) if lines else "(none)"
 
 
@@ -184,14 +183,13 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
 
     if name == "eliminate":
         report = eliminate(ZeonMatrix.from_json(payload, tol), tol)
-        obj = report.to_json()
         text = "\n".join([
             "upper:", report.upper.pretty(SIG),
             f"det_factor: {report.det_factor.pretty(SIG)}",
             f"pivot_count: {report.pivot_count}",
-            "ops:", _pretty_ops(obj["ops"]),
+            "ops:", _pretty_ops(report.ops),
         ])
-        return obj, text
+        return report.to_json(), text
 
     if name == "charpoly":
         chi = char_poly(ZeonMatrix.from_json(payload, tol), tol)

@@ -84,8 +84,8 @@ class ZeonVector:
     def __len__(self) -> int:
         return self.matrix.rows
 
-    def __getitem__(self, i: int) -> ZeonElement:
-        return self.matrix.entries[i][0]
+    def __getitem__(self, i: int | slice):
+        return self.entries[i]
 
     def __iter__(self):
         return iter(self.entries)

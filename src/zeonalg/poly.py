@@ -393,7 +393,7 @@ def _cluster_report(points: list[complex], monic: ComplexPolynomial,
     return RootReport(tuple(roots), residual, iterations)
 
 
-def complex_roots(poly, tol: Tolerances = DEFAULT, max_iter: int = _MAX_ITER) -> RootReport:
+def complex_roots(poly, tol: Tolerances = DEFAULT) -> RootReport:
     """All zeros of a complex polynomial by simultaneous Aberth iteration.
 
     Accepts a ComplexPolynomial or a ZeonPolynomial (which is shadowed
@@ -418,7 +418,7 @@ def complex_roots(poly, tol: Tolerances = DEFAULT, max_iter: int = _MAX_ITER) ->
     points = [centroid + radius * cmath.exp(1j * (2 * math.pi * k / d + 0.4))
               for k in range(d)]
     frozen = [False] * d
-    for it in range(1, max_iter + 1):
+    for it in range(1, _MAX_ITER + 1):
         done = True
         for j in range(d):
             if frozen[j]:
@@ -451,8 +451,8 @@ def complex_roots(poly, tol: Tolerances = DEFAULT, max_iter: int = _MAX_ITER) ->
         if done:
             return _cluster_report(points, monic, it)
     raise NonConvergenceError(
-        f"root iteration did not converge within {max_iter} passes",
-        report=_cluster_report(points, monic, max_iter))
+        f"root iteration did not converge within {_MAX_ITER} passes",
+        report=_cluster_report(points, monic, _MAX_ITER))
 
 
 def poly_divide(phi: ZeonPolynomial, psi: ZeonPolynomial,

@@ -17,7 +17,7 @@ import numpy as np
 from .algebra import ZeonElement
 from .errors import (DimensionMismatch, NotSelfAdjointError,
                      SpectralSimplicityError, ZeonError)
-from .linalg import ZeonMatrix, ZeonVector, eliminate, inner_product, normalize, outer
+from .linalg import ZeonMatrix, ZeonVector, eliminate, normalize, outer
 from .poly import ZeonPolynomial, complex_roots, induce_complex, lift_simple_zero
 from .tolerances import DEFAULT, Tolerances
 
@@ -144,41 +144,40 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
     return vec
 
 
+def _frame(vectors: Sequence[ZeonVector]) -> ZeonMatrix:
+    """Matrix V whose columns are the vectors."""
+    if not vectors:
+        raise ValueError("need at least one vector")
+    m, n = len(vectors[0]), vectors[0].n
+    if any(len(v) != m or v.n != n for v in vectors):
+        raise DimensionMismatch("vectors have mismatched lengths or algebras")
+    return ZeonMatrix(zip(*(v.entries for v in vectors)))
+
+
+def _gram_defect(frame: ZeonMatrix, tol: Tolerances) -> ZeonMatrix:
+    """V-adjoint V - I, whose (j, k) entry is <v_k, v_j> - delta_jk."""
+    return frame.adjoint().mul(frame, tol).sub(ZeonMatrix.identity(frame.cols, frame.n), tol)
+
+
 def projection(vector: ZeonVector, tol: Tolerances = DEFAULT) -> ZeonMatrix:
     """Rank-one projection v v-adjoint onto a normalized vector."""
-    ip = inner_product(vector, vector, tol)
-    if not ip.allclose(ZeonElement.one(vector.n), tol):
-        raise ZeonError("projection needs a normalized vector with <v, v> = 1")
-    return outer(vector, vector, tol)
+    return resolution_of_identity([vector], tol)
 
 
 def resolution_of_identity(vectors: Sequence[ZeonVector],
                            tol: Tolerances = DEFAULT) -> ZeonMatrix:
-    """Sum of the rank-one projections of an orthonormal family.
+    """Sum V V-adjoint of the rank-one projections of an orthonormal family.
 
     Equals the identity when the family is a full orthonormal basis.
     """
-    if not vectors:
-        raise ValueError("need at least one vector")
-    m = len(vectors[0])
-    n = vectors[0].n
-    worst = 0.0
-    worst_pair = (0, 0)
-    for i, vi in enumerate(vectors):
-        for j, vj in enumerate(vectors):
-            ip = inner_product(vi, vj, tol)
-            target = ZeonElement.one(n) if i == j else ZeonElement.zero(n)
-            err = ip.max_diff(target)
-            if err > worst:
-                worst, worst_pair = err, (i, j)
+    frame = _frame(vectors)
+    worst, j, k = max(((e.norm_inf(), j, k)
+                       for j, row in enumerate(_gram_defect(frame, tol).entries)
+                       for k, e in enumerate(row)), key=lambda t: t[0])
     if worst > tol.compare:
         raise ZeonError(
-            f"vectors {worst_pair[0]} and {worst_pair[1]} are not orthonormal "
-            f"(inner-product error {worst:.3g})")
-    acc = ZeonMatrix.zero(m, m, n)
-    for v in vectors:
-        acc = acc.add(outer(v, v, tol), tol)
-    return acc
+            f"vectors {j} and {k} are not orthonormal (inner-product error {worst:.3g})")
+    return frame.mul(frame.adjoint(), tol)
 
 
 @dataclass(frozen=True)
@@ -203,7 +202,8 @@ class SpectralDecomposition:
 
     checks holds max residuals: projection idempotence, pairwise
     orthogonality, resolution of the identity, reconstruction of A
-    (relative to its largest entry magnitude), and Cayley-Hamilton.
+    (relative to its largest entry magnitude), Cayley-Hamilton, and
+    "orthonormal", the largest coefficient of V-adjoint V - I.
     """
 
     eigenpairs: tuple[Eigenpair, ...]
@@ -241,25 +241,23 @@ def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> Spectra
         nv = normalize(xi, tol)
         pairs.append(Eigenpair(lam, xi, nv, True))
         projections.append(outer(nv, nv, tol))
-    identity = ZeonMatrix.identity(m, n)
-    idem = 0.0
-    ortho = 0.0
-    for j, pj in enumerate(projections):
-        idem = max(idem, pj.mul(pj, tol).sub(pj, tol).norm_inf())
-        for k, pk in enumerate(projections):
-            if j != k:
-                ortho = max(ortho, pj.mul(pk, tol).norm_inf())
+    # pi_j pi_k - delta_jk pi_j = v_j E_jk v_k-adjoint with E = V-adjoint V - I
+    normalized = [pair.normalized for pair in pairs]
+    defect = _gram_defect(_frame(normalized), tol)
+    residual = {(j, k): outer(normalized[j].scale(e, tol), normalized[k], tol).norm_inf()
+                for j, row in enumerate(defect.entries) for k, e in enumerate(row) if e.terms}
     total = ZeonMatrix.zero(m, m, n)
     recon = ZeonMatrix.zero(m, m, n)
     for pair, pj in zip(pairs, projections):
         total = total.add(pj, tol)
         recon = recon.add(pj.scale(pair.value, tol), tol)
     checks = {
-        "idempotent": idem,
-        "orthogonal": ortho,
-        "identity": total.sub(identity, tol).norm_inf(),
+        "idempotent": max((r for (j, k), r in residual.items() if j == k), default=0.0),
+        "orthogonal": max((r for (j, k), r in residual.items() if j != k), default=0.0),
+        "identity": total.sub(ZeonMatrix.identity(m, n), tol).norm_inf(),
         "reconstruction": recon.sub(matrix, tol).norm_inf() / (matrix.norm_inf() or 1.0),
         "cayley_hamilton": _char_residual(matrix, chi, tol),
+        "orthonormal": defect.norm_inf(),
     }
     return SpectralDecomposition(tuple(pairs), tuple(projections), checks)
 
@@ -271,16 +269,9 @@ def eigen_independence_check(pairs: Sequence, tol: Tolerances = DEFAULT) -> bool
     eigenvectors must have full column rank; over this algebra that is
     exactly linear independence of the eigenvectors themselves.
     """
-    if not pairs:
-        raise ValueError("need at least one eigenpair or vector")
     vectors = [p.vector if isinstance(p, Eigenpair) else p for p in pairs]
-    m = len(vectors[0])
-    if len(vectors) > m:
+    shadow = _frame(vectors).scalar_matrix()
+    if shadow.shape[1] > shadow.shape[0]:
         return False
-    for v in vectors:
-        if len(v) != m:
-            raise DimensionMismatch("eigenvectors have mismatched lengths")
-    shadow = np.array([[v[i].scalar_part() for v in vectors] for i in range(m)],
-                      dtype=complex)
     singular_values = np.linalg.svd(shadow, compute_uv=False)
     return bool(singular_values[-1] > tol.scalar_zero * max(1.0, float(singular_values[0])))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import cmath
 import itertools
 
-from zeonalg import ZeonElement, ZeonMatrix, ZeonVector, orthonormalize, outer
+from zeonalg import ZeonElement, ZeonMatrix, ZeonVector, inner_product, orthonormalize, outer
 
 
 def to_dense(elem: ZeonElement) -> list[complex]:
@@ -269,3 +269,26 @@ def rand_self_adjoint(rng, m: int, n: int):
         proj = outer(vec, vec).scale(value)
         acc = proj if acc is None else acc.add(proj)
     return acc, values, frame
+
+
+def projection_product_residuals(projections) -> tuple[float, float]:
+    """Idempotence and orthogonality residuals from every product pi_j pi_k.
+
+    Returns max_j |pi_j pi_j - pi_j| and max_{j != k} |pi_j pi_k|, forming
+    all m^2 matrix products; the reference for spectral_decompose's checks,
+    which derive both from the Gram matrix instead.
+    """
+    idem = ortho = 0.0
+    for j, pj in enumerate(projections):
+        idem = max(idem, pj.mul(pj).sub(pj).norm_inf())
+        for k, pk in enumerate(projections):
+            if j != k:
+                ortho = max(ortho, pj.mul(pk).norm_inf())
+    return idem, ortho
+
+
+def orthonormality_residual(vectors) -> float:
+    """max_jk |<v_k, v_j> - delta_jk|, one inner product at a time."""
+    n = vectors[0].n
+    return max(inner_product(vk, vj).max_diff(ZeonElement.scalar(n, float(j == k)))
+               for j, vj in enumerate(vectors) for k, vk in enumerate(vectors))

@@ -833,6 +833,12 @@ class TestVectorView:
                 assert v[i] is v.entries[i]
             with pytest.raises(IndexError):
                 v[3]
+            with pytest.raises(IndexError):
+                v[-4]
+            assert v[0:2] == (v[0], v[1])
+            assert v[-2:] == (v[1], v[2])
+            assert v[::-1] == (v[2], v[1], v[0])
+            assert v[5:] == ()
 
 
 MAPS = {

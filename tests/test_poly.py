@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+import zeonalg.poly as poly
+
 from zeonalg import (
     ComplexPolynomial,
     DoesNotSplitError,
@@ -262,10 +264,11 @@ class TestComplexRoots:
         with pytest.raises(ZeonError):
             complex_roots(ComplexPolynomial([5]))
 
-    def test_iteration_cap_raises_with_partial_report(self):
+    def test_iteration_cap_raises_with_partial_report(self, monkeypatch):
+        monkeypatch.setattr(poly, "_MAX_ITER", 1)
         p = ComplexPolynomial([-2, -3, 0, 1])
         with pytest.raises(NonConvergenceError) as info:
-            complex_roots(p, max_iter=1)
+            complex_roots(p)
         assert info.value.report is not None
         assert info.value.code == "no_convergence"
 

@@ -22,7 +22,10 @@ def test_readme_python_blocks_run():
     assert namespace["u"].inverse().pretty() == "0.2 + 0.16*z[1,2,3]"
     w = namespace["w"]
     assert namespace["inner_product"](w, w) == ZeonElement.one(3)
-    assert set(namespace["decomp"].checks) >= {"idempotent"}
+    checks = namespace["decomp"].checks
+    assert list(checks) == ["idempotent", "orthogonal", "identity", "reconstruction",
+                            "cayley_hamilton", "orthonormal"]
+    assert all(value == 0.0 for value in checks.values())
     r1, r2 = namespace["r1"], namespace["r2"]
     zeros = namespace["split"](namespace["phi"])
     assert len(zeros) == 2 and zeros[0] == r2 and zeros[1] == r1

@@ -7,7 +7,9 @@ import random
 import numpy as np
 import pytest
 
+import zeonalg.spectral as spectral
 from zeonalg import (
+    DimensionMismatch,
     NotSelfAdjointError,
     SpectralSimplicityError,
     ZeonElement,
@@ -32,6 +34,8 @@ from zeonalg import (
 from oracles import (
     dense_charpoly,
     from_dense,
+    orthonormality_residual,
+    projection_product_residuals,
     rand_matrix,
     rand_self_adjoint,
     rand_vector,
@@ -220,6 +224,13 @@ class TestProjections:
         total = resolution_of_identity(frame)
         assert total.sub(ZeonMatrix.identity(3, 3)).norm_inf() <= 1e-9
 
+    def test_mismatched_vectors_rejected(self):
+        v = ZeonVector.unit(3, 2, 0)
+        with pytest.raises(DimensionMismatch):
+            resolution_of_identity([v, ZeonVector.unit(2, 2, 1)])
+        with pytest.raises(DimensionMismatch):
+            resolution_of_identity([v, ZeonVector.unit(3, 3, 1)])
+
     def test_non_orthonormal_frame_rejected(self):
         rng = random.Random(367)
         v = normalize(rand_vector(rng, 3, 3, kind="invertible"))
@@ -234,9 +245,9 @@ class TestSpectralDecompose:
         assert len(decomp.eigenpairs) == 3
         for pair, want in zip(decomp.eigenpairs, printed_eigenvalues()):
             assert pair.value.max_diff(want) <= 1e-4
-        for key in ("idempotent", "orthogonal", "identity",
-                    "reconstruction", "cayley_hamilton"):
-            assert decomp.checks[key] <= 1e-8
+        assert list(decomp.checks) == ["idempotent", "orthogonal", "identity",
+                                       "reconstruction", "cayley_hamilton", "orthonormal"]
+        assert all(value <= 1e-8 for value in decomp.checks.values())
 
     def test_diagonal_matrix_is_exact(self):
         d = ZeonMatrix.diagonal([Z(2, {0: 3, 0b11: 1}), Z(2, {0: -1, 0b01: 2})])
@@ -324,6 +335,41 @@ class TestSpectralDecompose:
         assert {"eigenvalues", "eigenvectors", "projections", "checks"} <= set(blob)
         assert len(blob["eigenvalues"]) == 3
         assert all(v <= 1e-8 for v in blob["checks"].values())
+
+
+class TestGramChecks:
+    """The idempotence and orthogonality checks read off V-adjoint V - I."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_frame_matches_projection_products(self, monkeypatch, seed):
+        # every normalized eigenvector gets a small blade added to each entry,
+        # so the frame is off orthonormal by about that much
+        rng = random.Random(400 + seed)
+        m, n = rng.randint(2, 4), rng.randint(2, 4)
+        a, _, _ = rand_self_adjoint(rng, m, n)
+        blade = ZeonElement(n, {rng.randrange(1, 1 << n): complex(1e-5, -7e-6)})
+        exact = spectral.normalize
+        monkeypatch.setattr(spectral, "normalize",
+                            lambda x, tol: exact(x, tol).add(ZeonVector([blade] * m), tol))
+        decomp = spectral_decompose(a)
+        idem, ortho = projection_product_residuals(decomp.projections)
+        orthonormal = orthonormality_residual([p.normalized for p in decomp.eigenpairs])
+        for key, want in (("idempotent", idem), ("orthogonal", ortho),
+                          ("orthonormal", orthonormal)):
+            assert want > 1e-8
+            assert abs(decomp.checks[key] - want) <= 1e-9 * want, key
+
+    def test_planted_matrices_match_projection_products(self):
+        rng = random.Random(419)
+        for _ in range(50):
+            m, n = rng.randint(2, 4), rng.randint(2, 4)
+            a, _, _ = rand_self_adjoint(rng, m, n)
+            decomp = spectral_decompose(a)
+            idem, ortho = projection_product_residuals(decomp.projections)
+            orthonormal = orthonormality_residual([p.normalized for p in decomp.eigenpairs])
+            assert abs(decomp.checks["idempotent"] - idem) <= 1e-11
+            assert abs(decomp.checks["orthogonal"] - ortho) <= 1e-11
+            assert abs(decomp.checks["orthonormal"] - orthonormal) <= 1e-11
 
 
 class TestIndependence:
