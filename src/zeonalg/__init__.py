@@ -16,9 +16,8 @@ from .linalg import (EliminationReport, RowOp, ZeonMatrix, ZeonVector,
 from .poly import (ComplexPolynomial, PolyRoot, RootReport, ZeonPolynomial,
                    complex_roots, induce_complex, lift_simple_zero,
                    multiple_zero_family, poly_divide, split)
-from .spectral import (CharPoly, Eigenpair, SpectralDecomposition,
-                       cayley_hamilton_residual, char_poly,
-                       eigen_independence_check, eigenvalues, eigenvector,
+from .spectral import (Eigenpair, SpectralDecomposition, cayley_hamilton_residual,
+                       char_poly, eigen_independence_check, eigenvalues, eigenvector,
                        projection, resolution_of_identity, spectral_decompose)
 from .tolerances import DEFAULT, Tolerances
 
@@ -35,7 +34,7 @@ __all__ = [
     "ComplexPolynomial", "PolyRoot", "RootReport", "ZeonPolynomial",
     "complex_roots", "induce_complex", "lift_simple_zero",
     "multiple_zero_family", "poly_divide", "split",
-    "CharPoly", "Eigenpair", "SpectralDecomposition",
+    "Eigenpair", "SpectralDecomposition",
     "cayley_hamilton_residual", "char_poly", "eigen_independence_check",
     "eigenvalues", "eigenvector", "projection", "resolution_of_identity",
     "spectral_decompose",

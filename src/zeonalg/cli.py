@@ -193,7 +193,7 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
 
     if name == "charpoly":
         chi = char_poly(ZeonMatrix.from_json(payload, tol), tol)
-        return chi.to_json(), chi.poly.pretty(SIG)
+        return chi.to_json(), chi.pretty(SIG)
 
     if name == "eigen":
         matrix = ZeonMatrix.from_json(payload, tol)

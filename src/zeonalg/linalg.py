@@ -240,7 +240,7 @@ class ZeonMatrix:
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one row and one column")
         cols = len(rows[0])
-        n = rows[0][0].n
+        n = getattr(rows[0][0], "n", None)  # a non-element fails the type check below
         for row in rows:
             if len(row) != cols:
                 raise DimensionMismatch("ragged rows in matrix")
@@ -434,6 +434,14 @@ class ZeonMatrix:
 
     def conjugate(self) -> "ZeonMatrix":
         return self._map(np.conj, ZeonElement.conjugate)
+
+    def _block(self, rows: Sequence[int], cols: Sequence[int]) -> "ZeonMatrix":
+        # Internal: the submatrix on the given rows and columns, in the form
+        # the operand holds: a stack slice on a stack, shared entries on a grid.
+        if self._on_stack():
+            return ZeonMatrix._from_stack(self._stack[:, rows][:, :, cols], self.n, None)
+        return ZeonMatrix._wrap(tuple(tuple(self._entries[i][j] for j in cols) for i in rows),
+                                self.n)
 
     def _map(self, on_stack, on_element) -> "ZeonMatrix":
         # Internal: an entrywise map that keeps every magnitude, so a pruned
@@ -716,8 +724,7 @@ def _det_elimination(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
     for row, col in report.pivots:
         det = det.mul(upper[row][col], tol)
     if free_cols:
-        nilpotent_block = ZeonMatrix([[upper[r][c] for c in free_cols]
-                                      for r in range(report.pivot_count, matrix.rows)])
+        nilpotent_block = report.upper._block(range(report.pivot_count, matrix.rows), free_cols)
         det = det.mul(_det_permutation(nilpotent_block, tol), tol)
     return det
 
@@ -730,6 +737,11 @@ def determinant(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonElement:
     return _det_elimination(matrix, tol)
 
 
+def _shadow_rank(singular_values: np.ndarray, tol: Tolerances) -> int:
+    """Numerical rank: the singular values above tol.scalar_zero * max(1, largest)."""
+    return int(np.sum(singular_values > tol.scalar_zero * max(1.0, float(singular_values[0]))))
+
+
 def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:
     """Inverse through the binomial series of (I + D)^-1.
 
@@ -739,8 +751,7 @@ def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:
     """
     matrix._require_square("inverse")
     c = matrix.scalar_matrix()
-    singular_values = np.linalg.svd(c, compute_uv=False)
-    if singular_values[-1] <= tol.scalar_zero * max(1.0, float(singular_values[0])):
+    if _shadow_rank(np.linalg.svd(c, compute_uv=False), tol) < matrix.rows:
         raise SingularityError("scalar part of the matrix is singular within tolerance")
     c_inv = ZeonMatrix.from_scalar_matrix(np.linalg.inv(c), matrix.n, tol)
     nilpotent = matrix.dual().mul(c_inv, tol)

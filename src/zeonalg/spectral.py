@@ -17,26 +17,13 @@ import numpy as np
 from .algebra import ZeonElement
 from .errors import (DimensionMismatch, NotSelfAdjointError,
                      SpectralSimplicityError, ZeonError)
-from .linalg import ZeonMatrix, ZeonVector, eliminate, normalize, outer
-from .poly import ZeonPolynomial, complex_roots, induce_complex, lift_simple_zero
+from .linalg import ZeonMatrix, ZeonVector, _shadow_rank, mat_inverse, normalize, outer
+from .poly import ZeonPolynomial, complex_roots, lift_simple_zero
 from .tolerances import DEFAULT, Tolerances
 
 
-@dataclass(frozen=True)
-class CharPoly:
-    """Monic characteristic polynomial det(t I - A) over the algebra."""
-
-    poly: ZeonPolynomial
-
-    def shadow(self, tol: Tolerances = DEFAULT):
-        return induce_complex(self.poly, tol)
-
-    def to_json(self) -> dict:
-        return self.poly.to_json()
-
-
-def char_poly(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> CharPoly:
-    """Characteristic polynomial by the trace recursion.
+def char_poly(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonPolynomial:
+    """Monic characteristic polynomial det(t I - A), by the trace recursion.
 
     Faddeev-LeVerrier over the commutative algebra:
 
@@ -57,7 +44,7 @@ def char_poly(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> CharPoly:
         mk = matrix.mul(mk.add(ZeonMatrix.diagonal([c] * m), tol), tol)
         c = mk.trace(tol).scale(-1.0 / k, tol)
         coeffs[m - k] = c
-    return CharPoly(ZeonPolynomial(coeffs, tol))
+    return ZeonPolynomial(coeffs, tol)
 
 
 def _char_residual(matrix: ZeonMatrix, chi: ZeonPolynomial, tol: Tolerances) -> float:
@@ -70,13 +57,13 @@ def _char_residual(matrix: ZeonMatrix, chi: ZeonPolynomial, tol: Tolerances) -> 
 
 def cayley_hamilton_residual(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> float:
     """Largest coefficient magnitude of chi_A(A); zero in exact arithmetic."""
-    chi = char_poly(matrix, tol).poly
+    chi = char_poly(matrix, tol)
     return _char_residual(matrix, chi, tol)
 
 
 def _lifted_spectrum(matrix: ZeonMatrix, tol: Tolerances):
     """chi_A, its shadow roots, and the zeon lifts of the simple ones, in root order."""
-    chi = char_poly(matrix, tol).poly
+    chi = char_poly(matrix, tol)
     roots = complex_roots(chi, tol).roots
     return chi, roots, [lift_simple_zero(chi, root.value, tol)
                         for root in roots if root.simple]
@@ -93,53 +80,47 @@ def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonEleme
 
 
 def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVector:
-    """Kernel vector of (value I - A) for a spectrally simple eigenvalue.
+    """Kernel vector of S = value I - A for a spectrally simple eigenvalue.
 
-    The free coordinate is the one where the null vector of the shadow
-    value_0 I - A_0 is largest. Moving that column last before
-    elimination leaves the pivots to the other m - 1 columns, so no
-    pivot is small merely because an eigenvector component is. Elimination
-    must find exactly m - 1 invertible pivots; the free coordinate is
-    set to 1 and the rest back-substituted, so the result always has an
-    invertible component.
+    The shadow S_0 must have rank m - 1; its null vectors w (right) and
+    u (left) then choose the free coordinate f = argmax |w_f| and the
+    dropped equation r = argmax |u_r| (r = f when A is self-adjoint).
+    The block B of S without row r and column f has |det B_0| proportional
+    to |u_r| |w_f|, so it is invertible, and one solve gives the kernel
+    vector with x_f = 1:
+
+        x_rest = -B^-1 S[rows != r, f]
+
+    Row r then holds exactly when the value is an eigenvalue of A, which
+    the residual test checks.
     """
     matrix._require_square("eigenvector extraction")
     m, n = matrix.rows, matrix.n
-    if isinstance(value, (int, float, complex)):
+    if not isinstance(value, ZeonElement):
         value = ZeonElement.scalar(n, value, tol)
     if value.n != n:
         raise DimensionMismatch("eigenvalue lives in a different algebra")
     shifted = ZeonMatrix.diagonal([value] * m).sub(matrix, tol)
-    null = np.linalg.svd(shifted.scalar_matrix())[2][-1]
-    free = int(np.argmax(np.abs(null)))
-    order = [c for c in range(m) if c != free] + [free]
-    report = eliminate(ZeonMatrix([[row[c] for c in order] for row in shifted.entries]), tol)
-    if report.pivot_count != m - 1:
+    left, singular_values, right = np.linalg.svd(shifted.scalar_matrix())
+    rank = _shadow_rank(singular_values, tol)
+    if rank != m - 1:
         raise SpectralSimplicityError(
-            f"(value I - A) reduced to {report.pivot_count} invertible pivots, "
-            f"expected {m - 1}; the eigenvalue is not spectrally simple")
-    pivot_cols = {col for _, col in report.pivots}
-    free_col = next(c for c in range(m) if c not in pivot_cols)
-    upper = report.upper.entries
-    x: list[ZeonElement | None] = [None] * m
-    x[free_col] = ZeonElement.one(n)
-    for idx in range(report.pivot_count - 1, -1, -1):
-        prow, pcol = report.pivots[idx]
-        acc = ZeonElement.zero(n)
-        # the free column may sit left of this pivot when a column was skipped
-        for c in range(m):
-            if c == pcol:
-                continue
-            entry = upper[prow][c]
-            if not entry.terms or x[c] is None:
-                continue
-            acc = acc.add(entry.mul(x[c], tol), tol)
-        x[pcol] = acc.scale(-1).mul(upper[prow][pcol].inverse(tol), tol)
-    vec = ZeonVector([x[order.index(c)] for c in range(m)])
+            f"shadow of (value I - A) has rank {rank}, expected {m - 1}; "
+            "the value is not a spectrally simple eigenvalue")
+    free = int(np.argmax(np.abs(right[-1])))
+    dropped = int(np.argmax(np.abs(left[:, -1])))
+    rows = [i for i in range(m) if i != dropped]
+    cols = [j for j in range(m) if j != free]
+    x = []
+    if rows:  # at m = 1 the free coordinate is the whole vector
+        rest = mat_inverse(shifted._block(rows, cols), tol).mul(-shifted._block(rows, [free]), tol)
+        x = [e for (e,) in rest.entries]
+    x.insert(free, ZeonElement.one(n))
+    vec = ZeonVector(x)
     residual = shifted.mul(vec, tol).norm_inf()
     if residual > tol.compare * max(1.0, shifted.norm_inf()) * m:
         raise ZeonError(
-            f"back-substitution left residual {residual:.3g}; "
+            f"the block solve left residual {residual:.3g}; "
             "the value is not an exact eigenvalue of the matrix")
     return vec
 
@@ -273,5 +254,4 @@ def eigen_independence_check(pairs: Sequence, tol: Tolerances = DEFAULT) -> bool
     shadow = _frame(vectors).scalar_matrix()
     if shadow.shape[1] > shadow.shape[0]:
         return False
-    singular_values = np.linalg.svd(shadow, compute_uv=False)
-    return bool(singular_values[-1] > tol.scalar_zero * max(1.0, float(singular_values[0])))
+    return _shadow_rank(np.linalg.svd(shadow, compute_uv=False), tol) == shadow.shape[1]

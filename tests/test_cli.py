@@ -301,6 +301,26 @@ class TestEigenAndSpectral:
         assert json.loads(out)["error"] == "dimension"
 
 
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+class TestPrettyGolden:
+    """--pretty output of the matrix commands on the matrix fixtures, pinned as text.
+
+    The golden files hold stdout byte for byte; a change to the numbers a
+    command prints, or to how it prints them, shows up here.
+    """
+
+    @pytest.mark.parametrize("command, name, exit_code", [
+        (command, name, 2 if (command, name) == ("spectral", "mat_det_example") else 0)
+        for name in ("mat_spectral", "mat_det_example")
+        for command in ("eigen", "spectral", "charpoly", "det", "eliminate")])
+    def test_pretty_output_is_pinned(self, command, name, exit_code):
+        code, out, _ = run_cli(command, "--pretty", fixture(f"{name}.json"))
+        assert code == exit_code
+        assert out == (GOLDEN / f"{command}-{name}.txt").read_text(encoding="utf-8")
+
+
 class TestToleranceFlags:
     def test_scalar_zero_override_flips_invertibility(self):
         payload = json.dumps(ZeonElement(1, {0: 1e-3, 1: 1}).to_json())

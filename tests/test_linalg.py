@@ -225,6 +225,14 @@ class TestMatrixBasics:
         v = rand_vector(rng, 3, 3)
         assert outer(v, v).is_self_adjoint()
 
+    @pytest.mark.parametrize("build", [lambda: ZeonMatrix([[1]]),
+                                       lambda: ZeonVector([1, 2]),
+                                       lambda: ZeonMatrix([[ZeonElement.one(1), 1]]),
+                                       lambda: ZeonMatrix([[1, ZeonElement.one(1)]])])
+    def test_non_element_entries_raise_type_error(self, build):
+        with pytest.raises(TypeError, match="ZeonElement"):
+            build()
+
 
 class TestElimination:
     def test_identity_needs_no_ops(self):
@@ -851,6 +859,18 @@ MAPS = {
 
 
 class TestEntrywiseMaps:
+    @pytest.mark.parametrize("n", [0, 3, 9])
+    def test_block_matches_entries_and_keeps_the_form(self, n):
+        rng = random.Random(760 + n)
+        a = rand_grid(rng, 3, 4, n, max(1, (1 << n) // 4))
+        rows, cols = [2, 0], [3, 1, 0]
+        want = [[a.entries[i][j].terms for j in cols] for i in rows]
+        for form in (forms(a) if n <= 8 else (a,)):
+            got = form._block(rows, cols)
+            assert [[e.terms for e in row] for row in got.entries] == want
+            assert (got.rows, got.cols, got.n) == (2, 3, n)
+            assert (got._stack is not None) == (form._stack is not None)
+
     @pytest.mark.parametrize("name", MAPS)
     @pytest.mark.parametrize("n", range(10))
     def test_maps_match_elements_and_keep_the_form(self, n, name):

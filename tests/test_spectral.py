@@ -66,14 +66,14 @@ class TestCharPoly:
     def test_diagonal(self):
         a = Z(2, {0: 1, 1: 1})
         b = Z(2, {0: 2, 2: 1})
-        chi = char_poly(ZeonMatrix.diagonal([a, b])).poly
+        chi = char_poly(ZeonMatrix.diagonal([a, b]))
         # (t - a)(t - b)
         assert chi.coeffs[2] == ZeonElement.one(2)
         assert chi.coeffs[1].allclose(a.add(b).scale(-1))
         assert chi.coeffs[0].allclose(a.mul(b))
 
     def test_monic_of_degree_m(self, spectral_matrix):
-        chi = char_poly(spectral_matrix).poly
+        chi = char_poly(spectral_matrix)
         assert chi.degree == 3
         assert chi.leading == ZeonElement.one(3)
 
@@ -83,7 +83,7 @@ class TestCharPoly:
             m = rng.randint(2, 3)
             n = rng.randint(1, 3)
             a = rand_matrix(rng, m, n)
-            chi = char_poly(a).poly
+            chi = char_poly(a)
             want = dense_charpoly(a)
             assert chi.degree == m
             for k in range(m + 1):
@@ -94,7 +94,7 @@ class TestCharPoly:
         rng = random.Random(313)
         for _ in range(10):
             a = rand_matrix(rng, 3, 3)
-            shadow = induce_complex(char_poly(a).poly)
+            shadow = induce_complex(char_poly(a))
             want = np.poly(a.scalar_matrix())  # descending coefficients
             got = list(reversed(shadow.coeffs))
             assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-9
@@ -189,8 +189,61 @@ class TestEigenvectors:
 
     def test_non_eigenvalue_rejected(self):
         d = ZeonMatrix.diagonal([ZeonElement.scalar(2, 1), ZeonElement.scalar(2, 2)])
-        with pytest.raises(ZeonError):
+        with pytest.raises(SpectralSimplicityError, match="rank 2, expected 1"):
             eigenvector(d, 9)
+
+    @pytest.mark.parametrize("value", [np.int64(5), np.float64(5.0), np.complex128(5)])
+    def test_accepts_numpy_scalars(self, value):
+        d = ZeonMatrix.diagonal([ZeonElement.scalar(2, 2), ZeonElement.scalar(2, 5)])
+        vec = eigenvector(d, value)
+        assert d.mul(vec).sub(vec.scale(5)).norm_inf() <= 1e-12
+
+    def test_non_normal_drops_the_left_null_row(self):
+        # Over the shadow eigenvalue 0 the right null vector (1, -2, 0) peaks
+        # at coordinate 1 and the left one (1, 0, 0) at row 0. Dropping row 1
+        # with column 1 would leave the singular shadow block [[0, 0], [0, -2]].
+        n = 3
+        shadow = [[0, 0, 0], [1, 0.5, 0], [0, 0, 2]]
+        rng = random.Random(401)
+        a = ZeonMatrix([[Z(n, {0: c, rng.randrange(1, 1 << n): rng.uniform(-0.3, 0.3)})
+                         for c in row] for row in shadow])
+        value = next(v for v in eigenvalues(a) if abs(v.scalar_part()) < 1e-9)
+        vec = eigenvector(a, value)
+        assert vec.entries[1] == ZeonElement.one(n)
+        assert a.mul(vec).sub(vec.scale(value)).norm_inf() <= 1e-12
+
+    def test_planted_eigenvalues_of_large_matrices(self):
+        rng = random.Random(409)
+        for m in (5, 6):
+            for n in (4, 5, 6):
+                a, values, frame = rand_self_adjoint(rng, m, n)
+                for value, planted in zip(values, frame):
+                    vec = eigenvector(a, value)
+                    free = int(np.argmax(np.abs(planted.matrix.scalar_matrix()[:, 0])))
+                    assert vec.entries[free] == ZeonElement.one(n)
+                    residual = a.mul(vec).sub(vec.scale(value)).norm_inf()
+                    assert residual <= 1e-9 * max(1.0, a.norm_inf())
+
+    def test_single_row(self):
+        a = ZeonMatrix([[Z(9, {0: 2, 0b11: 1, 1 << 8: -0.5})]])
+        assert eigenvector(a, a.entries[0][0]).entries == (ZeonElement.one(9),)
+        with pytest.raises(ZeonError):
+            eigenvector(a, Z(9, {0: 2}))  # right shadow, wrong nilpotent part
+        with pytest.raises(SpectralSimplicityError):
+            eigenvector(a, 3)
+
+    def test_element_grids_past_the_stack_cap(self):
+        rng = random.Random(419)
+        a, values, _ = rand_self_adjoint(rng, 3, 9)
+        for value in values:
+            vec = eigenvector(a, value)
+            assert a.mul(vec).sub(vec.scale(value)).norm_inf() <= 1e-9
+
+    def test_shadow_rank_two_below_full_rejected(self):
+        n = 2
+        a = ZeonMatrix.diagonal([Z(n, {0: 1, 1: 0.5}), Z(n, {0: 1, 2: 0.25}), Z(n, {0: 3})])
+        with pytest.raises(SpectralSimplicityError, match="rank 1, expected 2"):
+            eigenvector(a, Z(n, {0: 1, 1: 0.5}))
 
 
 class TestProjections:
@@ -277,9 +330,9 @@ class TestSpectralDecompose:
 
     def test_small_last_eigenvector_component(self):
         # The first eigenvector's shadow has last component 0.01. Freeing the
-        # last coordinate would put a pivot of about that size into the
-        # back-substitution, whose inverse amplifies rounding in the dense
-        # nilpotent parts past the residual test.
+        # last coordinate would leave a block whose shadow is nearly singular,
+        # and its inverse would amplify rounding in the dense nilpotent parts
+        # past the residual test.
         m, n = 3, 5
         rng = random.Random(2)
         gauss = np.random.default_rng(2).normal(size=(m, m, 2)) @ [1, 1j]
