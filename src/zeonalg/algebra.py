@@ -123,12 +123,14 @@ def _dict_mul(a: Mapping[int, complex], b: Mapping[int, complex]) -> dict[int, c
     return out
 
 
-def _binomial_series(x, alpha: float, one, tol: Tolerances):
+def _binomial_series(x, alpha: float, one, product, tol: Tolerances):
     """(1 + x)^alpha = sum_j binom(alpha, j) x^j for x with nilpotent entries.
 
-    x^(n+1) = 0 on n generators, so the sum is finite. Only add, scale,
-    mul and norm_inf are used, so x can be a ZeonElement (one = 1) or a
-    ZeonMatrix (one = the identity).
+    x^(n+1) = 0 on n generators, so the sum is finite. Powers are taken
+    with product(power, x, tol); besides it only add, scale and norm_inf
+    are used, so x can be a ZeonElement (the element product, one = 1) or
+    a ZeonMatrix, with the matrix product (one = the identity) or the
+    entrywise product (one = the all-ones matrix).
     """
     acc = one
     power = x
@@ -139,7 +141,7 @@ def _binomial_series(x, alpha: float, one, tol: Tolerances):
         coeff *= (alpha - j + 1) / j
         acc = acc.add(power.scale(coeff, tol), tol)
         if j < x.n:
-            power = power.mul(x, tol)
+            power = product(power, x, tol)
     return acc
 
 
@@ -384,7 +386,7 @@ class ZeonElement:
             raise SingularityError(
                 f"scalar part {c:.3g} is within scalar-zero tolerance; not invertible")
         x = self.dual_part().scale(1 / c, tol)
-        series = _binomial_series(x, alpha, ZeonElement.one(self.n), tol)
+        series = _binomial_series(x, alpha, ZeonElement.one(self.n), ZeonElement.mul, tol)
         power = c ** alpha if isinstance(alpha, int) else cmath.exp(alpha * cmath.log(c))
         return series.scale(power, tol)
 

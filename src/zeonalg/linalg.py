@@ -443,6 +443,44 @@ class ZeonMatrix:
         return ZeonMatrix._wrap(tuple(tuple(self._entries[i][j] for j in cols) for i in rows),
                                 self.n)
 
+    def _gather(self, rows: Sequence[int], cols: Sequence[int]) -> "ZeonMatrix":
+        # Internal: the one-row matrix of entries (rows[k], cols[k]), in the
+        # form the operand holds.
+        if self._on_stack():
+            return ZeonMatrix._from_stack(self._stack[:, None, rows, cols], self.n, None)
+        entries = self.entries
+        return ZeonMatrix._wrap((tuple(entries[i][j] for i, j in zip(rows, cols)),), self.n)
+
+    def _entrywise(self, other, tol: Tolerances) -> "ZeonMatrix":
+        # Internal: the entrywise product with a matrix of the same shape, or
+        # with a complex array of that shape, which scales each entry.
+        n = self.n
+        if isinstance(other, np.ndarray):
+            if self._on_stack():
+                return ZeonMatrix._from_stack(self._stack * other, n, tol)
+            return ZeonMatrix._wrap(tuple(tuple(e.scale(c, tol) for e, c in zip(row, scales))
+                                          for row, scales in zip(self.entries, other.tolist())), n)
+        if self._on_stack(other):
+            return ZeonMatrix._from_stack(
+                _convolve(n, self._coeffs(), other._coeffs(), np.multiply), n, tol)
+        return ZeonMatrix._wrap(tuple(tuple(a.mul(b, tol) for a, b in zip(ra, rb))
+                                      for ra, rb in zip(self.entries, other.entries)), n)
+
+    def _entrywise_inverse(self, tol: Tolerances) -> "ZeonMatrix":
+        # Internal: every entry u = c (1 + x) inverted as c^-1 (1 + x)^-1, with
+        # c its scalar part: the one binomial series, on the entrywise product.
+        c = self.scalar_matrix()
+        if np.min(np.abs(c)) <= tol.scalar_zero:
+            raise SingularityError("an entry has scalar part within scalar-zero tolerance; "
+                                   "not invertible")
+        c_inv = 1 / c
+        one = ZeonElement.one(self.n)
+        ones = self._map(lambda s: np.concatenate((np.ones_like(s[:1]), np.zeros_like(s[1:]))),
+                         lambda e: one)
+        series = _binomial_series(self.dual()._entrywise(c_inv, tol), -1, ones,
+                                  ZeonMatrix._entrywise, tol)
+        return series._entrywise(c_inv, tol)
+
     def _map(self, on_stack, on_element) -> "ZeonMatrix":
         # Internal: an entrywise map that keeps every magnitude, so a pruned
         # stack stays pruned and a stack-only matrix stays on its stack.
@@ -553,6 +591,14 @@ class ZeonMatrix:
 
     def __repr__(self) -> str:
         return f"<ZeonMatrix {self.rows}x{self.cols} n={self.n}>"
+
+
+def _hstack(blocks: Sequence[ZeonMatrix]) -> ZeonMatrix:
+    """Matrices of equal row count and n side by side, on their stacks when all hold one."""
+    n = blocks[0].n
+    if all(b._stack is not None for b in blocks):
+        return ZeonMatrix._from_stack(np.concatenate([b._stack for b in blocks], axis=2), n, None)
+    return ZeonMatrix._wrap(tuple(sum(rows, ()) for rows in zip(*(b.entries for b in blocks))), n)
 
 
 # ----------------------------------------------------------------------
@@ -755,5 +801,6 @@ def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:
         raise SingularityError("scalar part of the matrix is singular within tolerance")
     c_inv = ZeonMatrix.from_scalar_matrix(np.linalg.inv(c), matrix.n, tol)
     nilpotent = matrix.dual().mul(c_inv, tol)
-    series = _binomial_series(nilpotent, -1, ZeonMatrix.identity(matrix.rows, matrix.n), tol)
+    series = _binomial_series(nilpotent, -1, ZeonMatrix.identity(matrix.rows, matrix.n),
+                              ZeonMatrix.mul, tol)
     return c_inv.mul(series, tol)

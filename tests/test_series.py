@@ -1,4 +1,4 @@
-"""The binomial series behind inverse, kth_root, normalize and mat_inverse.
+"""The binomial series behind inverse, kth_root, normalize, mat_inverse and entrywise inverses.
 
 Each of them is a principal power (1 + x)^alpha of a nilpotent x, summed
 until x^j vanishes. These properties run past the small sizes of the
@@ -13,6 +13,7 @@ import pytest
 
 from zeonalg import (
     DEFAULT,
+    SingularityError,
     ZeonElement,
     ZeonMatrix,
     ZeonVector,
@@ -111,3 +112,33 @@ def test_matrix_inverse_on_grids_at_n9():
     assert inv._stack is None, "matrices on more than 8 generators stay grids"
     assert_identity(a.mul(inv))
     assert_identity(inv.mul(a))
+
+
+ENTRYWISE = [(size, i) for size, i in zip(SIZES, IDS) if size[0] <= 8 or size == (9, False)]
+
+
+@pytest.mark.parametrize("n,dense", [size for size, _ in ENTRYWISE],
+                         ids=[i for _, i in ENTRYWISE])
+def test_entrywise_inverse_matches_element_inverses(n, dense):
+    # a 2 x 3 grid of units, inverted entry by entry on a stack (n <= 8) and on
+    # the grid; u * u^-1 entrywise must be all ones, each entry the element inverse
+    rng = random.Random(900 + 2 * n + dense)
+    grid = ZeonMatrix([[rand_unit(rng, n, dense) for _ in range(3)] for _ in range(2)])
+    forms = [grid]
+    if n <= 8:
+        forms.append(ZeonMatrix._from_stack(ZeonMatrix(grid.entries)._coeffs().copy(), n, DEFAULT))
+    one = ZeonElement.one(n)
+    for a in forms:
+        inv = a._entrywise_inverse(DEFAULT)
+        assert (inv._stack is not None) == (a._stack is not None)
+        for row, inv_row, unit_row in zip(grid.entries, inv.entries,
+                                          a._entrywise(inv, DEFAULT).entries):
+            for u, got, unit in zip(row, inv_row, unit_row):
+                assert_close(got, u.inverse())
+                assert_close(unit, one)
+
+
+def test_entrywise_inverse_rejects_a_nilpotent_entry():
+    a = ZeonMatrix([[ZeonElement.one(2), ZeonElement(2, {0b01: 1.0})]])
+    with pytest.raises(SingularityError):
+        a._entrywise_inverse(DEFAULT)

@@ -9,7 +9,9 @@ import pytest
 
 import zeonalg.spectral as spectral
 from zeonalg import (
+    DEFAULT,
     DimensionMismatch,
+    NonConvergenceError,
     NotSelfAdjointError,
     SpectralSimplicityError,
     ZeonElement,
@@ -299,7 +301,8 @@ class TestSpectralDecompose:
         for pair, want in zip(decomp.eigenpairs, printed_eigenvalues()):
             assert pair.value.max_diff(want) <= 1e-4
         assert list(decomp.checks) == ["idempotent", "orthogonal", "identity",
-                                       "reconstruction", "cayley_hamilton", "orthonormal"]
+                                       "reconstruction", "cayley_hamilton", "orthonormal",
+                                       "char_zero"]
         assert all(value <= 1e-8 for value in decomp.checks.values())
 
     def test_diagonal_matrix_is_exact(self):
@@ -423,6 +426,113 @@ class TestGramChecks:
             assert abs(decomp.checks["idempotent"] - idem) <= 1e-11
             assert abs(decomp.checks["orthogonal"] - ortho) <= 1e-11
             assert abs(decomp.checks["orthonormal"] - orthonormal) <= 1e-11
+
+
+def assert_recovers(a, values):
+    """spectral_decompose(a) returns the planted values to 1e-8 and small checks."""
+    decomp = spectral_decompose(a)
+    got = sorted((p.value for p in decomp.eigenpairs), key=lambda v: v.scalar_part().real)
+    want = sorted(values, key=lambda v: v.scalar_part().real)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.max_diff(w) <= 1e-8
+    assert all(value <= 1e-8 for value in decomp.checks.values()), decomp.checks
+    return decomp
+
+
+class TestRefinement:
+    """All eigenpairs come from one refinement of the shadow eigenbasis."""
+
+    @pytest.mark.parametrize("m, n, count", [(6, 6, 12), (6, 8, 5), (8, 4, 12)])
+    def test_planted_matrices_past_the_acceptance_sizes(self, m, n, count):
+        for seed in range(1000, 1000 + count):
+            a, values, _ = rand_self_adjoint(random.Random(seed), m, n)
+            assert_recovers(a, values)
+
+    def test_planted_decomposition_on_element_grids(self):
+        a, values, _ = rand_self_adjoint(random.Random(419), 3, 9)
+        decomp = assert_recovers(a, values)
+        assert a._stack is None
+        assert all(p.normalized.matrix._stack is None for p in decomp.eigenpairs)
+
+    def test_single_row(self):
+        entry = Z(4, {0: 2.5, 0b0011: 1, 0b1100: -0.5})
+        decomp = spectral_decompose(ZeonMatrix([[entry]]))
+        (pair,) = decomp.eigenpairs
+        assert pair.value.allclose(entry)
+        assert pair.vector.entries == (ZeonElement.one(4),)
+        assert pair.normalized.entries == (ZeonElement.one(4),)
+        assert decomp.projections[0].allclose(ZeonMatrix.identity(1, 4))
+
+    def test_raw_vector_is_the_block_solve_vector(self, spectral_matrix):
+        for pair in spectral_decompose(spectral_matrix).eigenpairs:
+            assert pair.vector.allclose(eigenvector(spectral_matrix, pair.value), DEFAULT)
+
+    def test_no_lift_and_no_block_solve(self, monkeypatch, spectral_matrix):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral_decompose must not call this")
+
+        monkeypatch.setattr(spectral, "lift_simple_zero", refuse)
+        monkeypatch.setattr(spectral, "eigenvector", refuse)
+        assert len(spectral_decompose(spectral_matrix).eigenpairs) == 3
+
+    @pytest.mark.parametrize("part", ["frame", "values"])
+    def test_frame_gate_raises(self, monkeypatch, spectral_matrix, part):
+        # a frame or eigenvalues off by 1e-6 must not be returned as a decomposition
+        refine = spectral._refine
+        nudge = Z(3, {0b011: 1e-6})
+
+        def nudged(matrix, tol):
+            lam, x = refine(matrix, tol)
+            if part == "frame":
+                return lam, x.add(ZeonMatrix([[nudge] * 3] * 3), tol)
+            return lam.add(ZeonMatrix([[nudge] * 3]), tol), x
+
+        monkeypatch.setattr(spectral, "_refine", nudged)
+        with pytest.raises(NonConvergenceError, match="refined eigenvector frame"):
+            spectral_decompose(spectral_matrix)
+
+    def test_char_zero_is_the_largest_char_poly_value(self):
+        rng = random.Random(431)
+        for _ in range(12):
+            a, _, _ = rand_self_adjoint(rng, rng.randint(2, 4), rng.randint(2, 5))
+            decomp = spectral_decompose(a)
+            chi = char_poly(a)
+            want = max(chi.evaluate(p.value).norm_inf() for p in decomp.eigenpairs)
+            assert abs(decomp.checks["char_zero"] - want) <= 1e-12
+
+    def test_char_zero_away_from_the_eigenvalues(self):
+        # at values that are not eigenvalues, the row Horner equals the element one
+        rng = random.Random(433)
+        for _ in range(8):
+            m, n = rng.randint(2, 4), rng.randint(1, 5)
+            chi = char_poly(rand_matrix(rng, m, n))
+            values = [rand_vector(rng, 1, n).entries[0] for _ in range(m)]
+            want = max(chi.evaluate(v).norm_inf() for v in values)
+            got = spectral._char_zero(chi, ZeonMatrix([values]), DEFAULT)
+            assert want > 1e-3
+            assert abs(got - want) <= 1e-12 * want
+
+
+class TestFrame:
+    @pytest.mark.parametrize("n", [0, 3, 5, 8, 9])
+    def test_stacked_and_grid_vectors_give_equal_frames(self, n):
+        rng = random.Random(439 + n)
+        columns = rand_matrix(rng, 3, n)
+        if n <= 8:
+            columns._coeffs()
+        stacked = [ZeonVector._of(columns._block(range(3), [j])) for j in range(3)]
+        grid = [ZeonVector(v.entries) for v in stacked]
+        from_stacks = spectral._frame(stacked)
+        from_grids = spectral._frame(grid)
+        mixed = spectral._frame(stacked[:1] + grid[1:])
+        assert (from_stacks._stack is not None) == (n <= 8)
+        assert from_grids._stack is None and mixed._stack is None
+
+        def terms(matrix):
+            return [[e.terms for e in row] for row in matrix.entries]
+
+        assert terms(from_stacks) == terms(from_grids) == terms(mixed) == terms(columns)
 
 
 class TestIndependence:
