@@ -13,8 +13,7 @@ from __future__ import annotations
 import cmath
 from collections.abc import Iterable, Mapping
 
-import numpy as np
-
+from ._numpy import np
 from .errors import DimensionMismatch, ParseError, SingularityError, ZeonError
 from .tolerances import DEFAULT, Tolerances
 

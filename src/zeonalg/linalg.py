@@ -15,8 +15,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .algebra import _DENSE_MAX_N, ZeonElement, _binomial_series, _convolve
 from .errors import DimensionMismatch, ParseError, SingularityError
 from .tolerances import DEFAULT, Tolerances

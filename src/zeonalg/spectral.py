@@ -13,8 +13,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import np
 from .algebra import ZeonElement
 from .errors import (DimensionMismatch, NonConvergenceError, NotSelfAdjointError,
                      SpectralSimplicityError, ZeonError)

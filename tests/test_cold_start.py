@@ -1,0 +1,109 @@
+"""numpy is imported on first use: the numpy-free commands never load it.
+
+Each check runs in a fresh interpreter, since the test process itself has
+numpy loaded long before these tests run.
+"""
+
+import json
+import pathlib
+import subprocess
+import sys
+import textwrap
+
+import pytest
+
+from zeonalg import ZeonMatrix, spectral_decompose
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def run_python(source, *args):
+    """Runs source in a fresh interpreter; returns the JSON value of its last stdout line."""
+    proc = subprocess.run([sys.executable, "-c", textwrap.dedent(source), *args],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+CLI = """
+    import json, sys
+    from zeonalg.cli import main
+    code = main(sys.argv[1:])
+    print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("args, exit_code", [
+    (["det", "mat_det_example.json"], 0),
+    (["det", "mat_spectral.json"], 0),
+    (["eliminate", "mat_det_example.json"], 0),
+    (["inv", "elem_invertible.json"], 0),
+    (["root", "-k", "2", "elem_invertible.json"], 0),
+    (["polydiv", "polydiv_pair.json"], 0),
+    (["split", "poly_nonsplit.json"], 2),
+    (["polyzero", "poly_quartic.json"], 0),
+    (["polyzero", "--lambda0", "3", "poly_quartic.json"], 0),
+    (["--help"], 0),
+    (["root", "elem_invertible.json"], 1),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_command_leaves_numpy_unloaded(args, exit_code):
+    argv = [str(FIXTURES / arg) if arg.endswith(".json") else arg for arg in args]
+    code, numpy_loaded = run_python(CLI, *argv)
+    assert code == exit_code
+    assert not numpy_loaded
+
+
+def test_import_leaves_numpy_unloaded():
+    assert run_python("""
+        import json, sys
+        import zeonalg
+        print(json.dumps("numpy" in sys.modules))
+    """) is False
+
+
+def test_first_use_turns_np_into_numpy_namespace():
+    assert run_python("""
+        import json, pathlib, sys, types
+        from zeonalg import ZeonMatrix, _numpy, spectral_decompose
+        np = _numpy.np
+        before = type(np) is types.ModuleType
+        a = ZeonMatrix.from_json(json.loads(pathlib.Path(sys.argv[1]).read_text()))
+        spectral_decompose(a)
+        import numpy
+        print(json.dumps([before, type(np) is types.ModuleType,
+                          np.ndarray is numpy.ndarray, np.linalg is numpy.linalg,
+                          type(sys.modules["numpy"]) is types.ModuleType]))
+    """, str(FIXTURES / "mat_spectral.json")) == [False, True, True, True, True]
+
+
+def test_threads_racing_on_first_use_agree():
+    values = run_python("""
+        import json, pathlib, sys, threading
+        from zeonalg import ZeonMatrix, spectral_decompose
+        payload = json.loads(pathlib.Path(sys.argv[1]).read_text())
+        start = threading.Barrier(8, timeout=60)
+        results = [None] * 8
+
+        def work(slot):
+            a = ZeonMatrix.from_json(payload)
+            start.wait()
+            pairs = spectral_decompose(a).eigenpairs
+            results[slot] = [pair.value.to_json() for pair in pairs]
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        print(json.dumps(results))
+    """, str(FIXTURES / "mat_spectral.json"))
+    a = ZeonMatrix.from_json(json.loads((FIXTURES / "mat_spectral.json").read_text()))
+    want = json.loads(json.dumps([pair.value.to_json()
+                                  for pair in spectral_decompose(a).eigenpairs]))
+    assert values == [want] * 8
