@@ -225,12 +225,18 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
     raise ParseError(f"unknown command {name!r}")
 
 
-def _emit(args, text: str) -> None:
-    if args.output:
+def _emit(args, text: str) -> int:
+    """Writes the result; an unwritable output path is a usage error (exit 1)."""
+    if not args.output:
+        print(text)
+        return 0
+    try:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print(json.dumps({"error": "usage", "detail": f"cannot write {args.output}: {exc}"}))
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -248,8 +254,7 @@ def main(argv=None) -> int:
     except ZeonError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}))
         return 2
-    _emit(args, json.dumps(obj, indent=2) if args.as_json else pretty_text)
-    return 0
+    return _emit(args, json.dumps(obj, indent=2) if args.as_json else pretty_text)
 
 
 def run_main() -> None:

@@ -465,20 +465,19 @@ class ZeonMatrix:
         return ZeonMatrix._wrap(tuple(tuple(a.mul(b, tol) for a, b in zip(ra, rb))
                                       for ra, rb in zip(self.entries, other.entries)), n)
 
-    def _entrywise_inverse(self, tol: Tolerances) -> "ZeonMatrix":
-        # Internal: every entry u = c (1 + x) inverted as c^-1 (1 + x)^-1, with
-        # c its scalar part: the one binomial series, on the entrywise product.
+    def _entrywise_power(self, alpha: float, tol: Tolerances) -> "ZeonMatrix":
+        # Internal: every entry u = c (1 + x) to c^alpha (1 + x)^alpha, c its scalar part,
+        # as in ZeonElement._power: the one binomial series, on the entrywise product.
         c = self.scalar_matrix()
         if np.min(np.abs(c)) <= tol.scalar_zero:
             raise SingularityError("an entry has scalar part within scalar-zero tolerance; "
                                    "not invertible")
-        c_inv = 1 / c
-        one = ZeonElement.one(self.n)
         ones = self._map(lambda s: np.concatenate((np.ones_like(s[:1]), np.zeros_like(s[1:]))),
-                         lambda e: one)
-        series = _binomial_series(self.dual()._entrywise(c_inv, tol), -1, ones,
+                         lambda e: ZeonElement.one(self.n))
+        series = _binomial_series(self.dual()._entrywise(1 / c, tol), alpha, ones,
                                   ZeonMatrix._entrywise, tol)
-        return series._entrywise(c_inv, tol)
+        return series._entrywise(c ** alpha if isinstance(alpha, int)
+                                 else np.exp(alpha * np.log(c)), tol)
 
     def _map(self, on_stack, on_element) -> "ZeonMatrix":
         # Internal: an entrywise map that keeps every magnitude, so a pruned

@@ -17,8 +17,7 @@ from ._numpy import np
 from .algebra import ZeonElement
 from .errors import (DimensionMismatch, NonConvergenceError, NotSelfAdjointError,
                      SpectralSimplicityError, ZeonError)
-from .linalg import (ZeonMatrix, ZeonVector, _hstack, _shadow_rank, mat_inverse, normalize,
-                     outer)
+from .linalg import ZeonMatrix, ZeonVector, _hstack, _shadow_rank, mat_inverse, outer
 from .poly import ZeonPolynomial, complex_roots, lift_simple_zero
 from .tolerances import DEFAULT, Tolerances
 
@@ -185,13 +184,12 @@ class Eigenpair:
 class SpectralDecomposition:
     """Full eigendata of a self-adjoint matrix plus verification residuals.
 
-    checks holds max residuals, all computed from V, the matrix of
-    normalized eigenvectors: projection idempotence and pairwise
-    orthogonality (read off V-adjoint V - I), resolution of the identity
-    (V V-adjoint - I), reconstruction of A (V Lambda V-adjoint - A,
-    relative to A's largest entry magnitude), Cayley-Hamilton,
-    "orthonormal", the largest coefficient of V-adjoint V - I, and
-    "char_zero", the largest coefficient of chi_A(lambda_j) over j.
+    checks holds max residuals on V, the returned frame of normalized eigenvectors:
+    projection idempotence and pairwise orthogonality (read off V-adjoint V - I), resolution
+    of the identity (V V-adjoint - I), reconstruction of A (V Lambda V-adjoint - A over A's
+    largest entry magnitude), Cayley-Hamilton, "orthonormal" (the largest coefficient of
+    V-adjoint V - I) and "char_zero" (of chi_A(lambda_j) over j). Arithmetic prunes, so a
+    check reads exactly 0.0 whenever every residual coefficient is below tol.prune.
     """
 
     eigenpairs: tuple[Eigenpair, ...]
@@ -237,11 +235,11 @@ def _refine(matrix: ZeonMatrix, tol: Tolerances):
         gram = gram_and_s._block(diagonal, diagonal)                     # I - R
         s = gram_and_s._block(diagonal, lower)
         lam = s._gather(diagonal, diagonal)._entrywise(
-            gram._gather(diagonal, diagonal)._entrywise_inverse(tol), tol)
+            gram._gather(diagonal, diagonal)._entrywise_power(-1, tol), tol)
         lam_cols = lam._block([0] * m, diagonal)                         # (i, j) -> lambda_j
         # the gaps lambda_j - lambda_i with 1 on the diagonal, inverted and masked
-        weights = lam_cols.sub(lam_cols.transpose(), tol).add(eye, tol)._entrywise_inverse(
-            tol)._entrywise(off_diagonal, tol)
+        weights = lam_cols.sub(lam_cols.transpose(), tol).add(eye, tol)._entrywise_power(
+            -1, tol)._entrywise(off_diagonal, tol)
         # off the diagonal S - G lambda_j is S + lambda_j R
         correction = s.sub(gram._entrywise(lam_cols, tol), tol)._entrywise(weights, tol).add(
             eye.sub(gram, tol)._entrywise(np.eye(m) / 2, tol), tol)
@@ -254,16 +252,11 @@ def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> Spectra
 
     chi_A's shadow roots decide simplicity. All m eigenpairs then come
     from one refinement of the shadow eigenbasis (_refine), which runs a
-    fixed n.bit_length() + 1 passes; NonConvergenceError is raised when
-    the refined frame X leaves I - X-adjoint X, or X Lambda X-adjoint - A
-    relative to max(1, |A|), above tol.compare * m. Eigenvector j is
-    X[:, j] X[f, j]^-1 with f where column j's shadow is largest, so its
-    coordinate f is 1; it is normalized, and the rank-one projections and
-    the residuals in SpectralDecomposition.checks are built from the
-    normalized vectors, reported instead of trusted silently.
+    fixed n.bit_length() + 1 passes. Eigenvector j is X[:, j] X[f, j]^-1
+    with f where column j's shadow is largest, so its coordinate f is 1.
+    All m are normalized at once; _verified checks the frame it returns.
     """
     matrix._require_square("spectral decomposition")
-    m, n = matrix.rows, matrix.n
     # char_poly's products put A on its stack where the dispatch picks one,
     # so the self-adjointness test and the refinement run there too
     chi = char_poly(matrix, tol)
@@ -275,45 +268,53 @@ def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> Spectra
         raise SpectralSimplicityError(
             f"shadow spectrum is not simple ({desc}); no unique decomposition")
     lam, x = _refine(matrix, tol)
-    diagonal = list(range(m))
-    lam_cols = lam._block([0] * m, diagonal)                             # (i, j) -> lambda_j
-    defect = max(ZeonMatrix.identity(m, n).sub(x.adjoint().mul(x, tol), tol).norm_inf(),
-                 x._entrywise(lam_cols, tol).mul(x.adjoint(), tol).sub(matrix, tol).norm_inf()
-                 / max(1.0, matrix.norm_inf()))
-    if defect > tol.compare * m:
-        raise NonConvergenceError(
-            f"the refined eigenvector frame is off by {defect:.3g}; no decomposition returned")
+    diagonal, first = list(range(matrix.rows)), [0] * matrix.rows
     free = np.argmax(np.abs(x.scalar_matrix()), axis=0).tolist()
-    pivots = x._gather(free, diagonal)._entrywise_inverse(tol)           # X_fj^-1 in column j
-    raw = x._entrywise(pivots._block([0] * m, diagonal), tol)
-    pairs = []
-    projections = []
-    for j, value in enumerate(lam.entries[0]):
-        vector = ZeonVector._of(raw._block(diagonal, [j]))
-        nv = normalize(vector, tol)
-        pairs.append(Eigenpair(value, vector, nv, True))
-        projections.append(outer(nv, nv, tol))
+    pivots = x._gather(free, diagonal)._entrywise_power(-1, tol)         # X_fj^-1 in column j
+    raw = x._entrywise(pivots._block(first, diagonal), tol)
+    # <raw_j, raw_j> is the diagonal of raw-adjoint raw; column j is scaled by its -1/2 power
+    scales = raw.adjoint().mul(raw, tol)._gather(diagonal, diagonal)._entrywise_power(-0.5, tol)
+    return _verified(matrix, chi, lam, raw, raw._entrywise(scales._block(first, diagonal), tol),
+                     tol)
+
+
+def _verified(matrix: ZeonMatrix, chi: ZeonPolynomial, lam: ZeonMatrix, raw: ZeonMatrix,
+              frame: ZeonMatrix, tol: Tolerances) -> SpectralDecomposition:
+    """Decomposition with values lam, raw vectors and normalized frame V, checked on V.
+
+    Raises NonConvergenceError, with the decomposition as its report, when
+    V-adjoint V - I or V Lambda V-adjoint - A over max(1, |A|) exceeds tol.compare * m.
+    """
+    m, n = matrix.rows, matrix.n
+    diagonal = list(range(m))
+    normalized = [ZeonVector._of(frame._block(diagonal, [j])) for j in diagonal]
+    pairs = tuple(Eigenpair(value, ZeonVector._of(raw._block(diagonal, [j])), normalized[j])
+                  for j, value in enumerate(lam.entries[0]))
     # pi_j pi_k - delta_jk pi_j = v_j E_jk v_k-adjoint with E = V-adjoint V - I
-    normalized = [pair.normalized for pair in pairs]
-    frame = _frame(normalized)
     gram_defect = _gram_defect(frame, tol)
     residual = {(j, k): outer(normalized[j].scale(e, tol), normalized[k], tol).norm_inf()
                 for j, row in enumerate(gram_defect.entries) for k, e in enumerate(row) if e.terms}
     # V [V-adjoint | Lambda V-adjoint] holds V V-adjoint and V Lambda V-adjoint
     frame_h = frame.adjoint()
-    both = frame.mul(_hstack([frame_h, lam_cols.transpose()._entrywise(frame_h, tol)]), tol)
+    lam_rows = lam._block([0] * m, diagonal).transpose()                 # (i, j) -> lambda_i
+    both = frame.mul(_hstack([frame_h, lam_rows._entrywise(frame_h, tol)]), tol)
+    misfit = both._block(diagonal, range(m, 2 * m)).sub(matrix, tol).norm_inf()
     checks = {
         "idempotent": max((r for (j, k), r in residual.items() if j == k), default=0.0),
         "orthogonal": max((r for (j, k), r in residual.items() if j != k), default=0.0),
-        "identity": both._block(diagonal, diagonal).sub(
-            ZeonMatrix.identity(m, n), tol).norm_inf(),
-        "reconstruction": both._block(diagonal, range(m, 2 * m)).sub(matrix, tol).norm_inf()
-        / (matrix.norm_inf() or 1.0),
+        "identity": both._block(diagonal, diagonal).sub(ZeonMatrix.identity(m, n), tol).norm_inf(),
+        "reconstruction": misfit / (matrix.norm_inf() or 1.0),
         "cayley_hamilton": _char_residual(matrix, chi, tol),
         "orthonormal": gram_defect.norm_inf(),
         "char_zero": _char_zero(chi, lam, tol),
     }
-    return SpectralDecomposition(tuple(pairs), tuple(projections), checks)
+    result = SpectralDecomposition(pairs, tuple(outer(v, v, tol) for v in normalized), checks)
+    defect = max(checks["orthonormal"], misfit / max(1.0, matrix.norm_inf()))
+    if defect > tol.compare * m:
+        raise NonConvergenceError(
+            f"the refined eigenvector frame is off by {defect:.3g}; no decomposition returned",
+            report=result)
+    return result
 
 
 def eigen_independence_check(pairs: Sequence, tol: Tolerances = DEFAULT) -> bool:

@@ -72,6 +72,16 @@ class TestInverse:
         got = ZeonElement.from_json(json.loads(target.read_text()))
         assert got.allclose(ZeonElement(3, {0: 0.2, 0b111: 0.16}))
 
+    def test_unwritable_output_file_exits_1(self, tmp_path):
+        target = tmp_path / "missing" / "out.json"
+        code, out, err = run_cli("det", fixture("mat_det_example.json"), "-o", str(target))
+        assert code == 1
+        assert "Traceback" not in err
+        blob = json.loads(out)
+        assert blob["error"] == "usage"
+        assert blob["detail"].startswith(f"cannot write {target}: ")
+        assert not target.exists()
+
     def test_singular_input_exits_2(self):
         payload = json.dumps(ZeonElement(2, {1: 1}).to_json())
         code, out, _ = run_cli("inv", stdin_text=payload)

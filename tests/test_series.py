@@ -1,4 +1,4 @@
-"""The binomial series behind inverse, kth_root, normalize, mat_inverse and entrywise inverses.
+"""The binomial series behind inverse, kth_root, normalize, mat_inverse and entrywise powers.
 
 Each of them is a principal power (1 + x)^alpha of a nilpotent x, summed
 until x^j vanishes. These properties run past the small sizes of the
@@ -117,19 +117,24 @@ def test_matrix_inverse_on_grids_at_n9():
 ENTRYWISE = [(size, i) for size, i in zip(SIZES, IDS) if size[0] <= 8 or size == (9, False)]
 
 
-@pytest.mark.parametrize("n,dense", [size for size, _ in ENTRYWISE],
-                         ids=[i for _, i in ENTRYWISE])
-def test_entrywise_inverse_matches_element_inverses(n, dense):
-    # a 2 x 3 grid of units, inverted entry by entry on a stack (n <= 8) and on
-    # the grid; u * u^-1 entrywise must be all ones, each entry the element inverse
-    rng = random.Random(900 + 2 * n + dense)
+def entrywise_forms(rng, n, dense):
+    """A 2 x 3 grid of units, and the same grid as a stack-only matrix for n <= 8."""
     grid = ZeonMatrix([[rand_unit(rng, n, dense) for _ in range(3)] for _ in range(2)])
     forms = [grid]
     if n <= 8:
         forms.append(ZeonMatrix._from_stack(ZeonMatrix(grid.entries)._coeffs().copy(), n, DEFAULT))
+    return grid, forms
+
+
+@pytest.mark.parametrize("n,dense", [size for size, _ in ENTRYWISE],
+                         ids=[i for _, i in ENTRYWISE])
+def test_entrywise_inverse_matches_element_inverses(n, dense):
+    # inverted entry by entry on a stack (n <= 8) and on the grid; u * u^-1
+    # entrywise must be all ones, each entry the element inverse
+    grid, forms = entrywise_forms(random.Random(900 + 2 * n + dense), n, dense)
     one = ZeonElement.one(n)
     for a in forms:
-        inv = a._entrywise_inverse(DEFAULT)
+        inv = a._entrywise_power(-1, DEFAULT)
         assert (inv._stack is not None) == (a._stack is not None)
         for row, inv_row, unit_row in zip(grid.entries, inv.entries,
                                           a._entrywise(inv, DEFAULT).entries):
@@ -138,7 +143,22 @@ def test_entrywise_inverse_matches_element_inverses(n, dense):
                 assert_close(unit, one)
 
 
+@pytest.mark.parametrize("n,dense", [size for size, _ in ENTRYWISE],
+                         ids=[i for _, i in ENTRYWISE])
+def test_entrywise_inverse_square_root_matches_element_powers(n, dense):
+    # the -1/2 power that normalizes eigenvectors, on the same cases
+    grid, forms = entrywise_forms(random.Random(930 + 2 * n + dense), n, dense)
+    for a in forms:
+        got = a._entrywise_power(-0.5, DEFAULT)
+        assert (got._stack is not None) == (a._stack is not None)
+        for row, got_row in zip(grid.entries, got.entries):
+            for u, g in zip(row, got_row):
+                assert_close(g, u._power(-0.5))
+
+
 def test_entrywise_inverse_rejects_a_nilpotent_entry():
     a = ZeonMatrix([[ZeonElement.one(2), ZeonElement(2, {0b01: 1.0})]])
     with pytest.raises(SingularityError):
-        a._entrywise_inverse(DEFAULT)
+        a._entrywise_power(-1, DEFAULT)
+    with pytest.raises(SingularityError):
+        a._entrywise_power(-0.5, DEFAULT)

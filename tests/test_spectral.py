@@ -397,17 +397,21 @@ class TestGramChecks:
     """The idempotence and orthogonality checks read off V-adjoint V - I."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_perturbed_frame_matches_projection_products(self, monkeypatch, seed):
+    def test_perturbed_frame_matches_projection_products(self, seed):
         # every normalized eigenvector gets a small blade added to each entry,
-        # so the frame is off orthonormal by about that much
+        # so the frame is off orthonormal by about that much, and the checks
+        # on it come back with the refused decomposition
         rng = random.Random(400 + seed)
         m, n = rng.randint(2, 4), rng.randint(2, 4)
         a, _, _ = rand_self_adjoint(rng, m, n)
         blade = ZeonElement(n, {rng.randrange(1, 1 << n): complex(1e-5, -7e-6)})
-        exact = spectral.normalize
-        monkeypatch.setattr(spectral, "normalize",
-                            lambda x, tol: exact(x, tol).add(ZeonVector([blade] * m), tol))
-        decomp = spectral_decompose(a)
+        exact = spectral_decompose(a).eigenpairs
+        lam = ZeonMatrix([[p.value for p in exact]])
+        raw = spectral._frame([p.vector for p in exact])
+        frame = spectral._frame([p.normalized for p in exact]).add(ZeonMatrix([[blade] * m] * m))
+        with pytest.raises(NonConvergenceError, match="refined eigenvector frame") as info:
+            spectral._verified(a, char_poly(a), lam, raw, frame, DEFAULT)
+        decomp = info.value.report
         idem, ortho = projection_product_residuals(decomp.projections)
         orthonormal = orthonormality_residual([p.normalized for p in decomp.eigenpairs])
         for key, want in (("idempotent", idem), ("orthogonal", ortho),
@@ -489,8 +493,11 @@ class TestRefinement:
             return lam.add(ZeonMatrix([[nudge] * 3]), tol), x
 
         monkeypatch.setattr(spectral, "_refine", nudged)
-        with pytest.raises(NonConvergenceError, match="refined eigenvector frame"):
+        with pytest.raises(NonConvergenceError, match="refined eigenvector frame") as info:
             spectral_decompose(spectral_matrix)
+        # the refused decomposition comes back with the check that refused it
+        checks = info.value.report.checks
+        assert checks["orthonormal" if part == "frame" else "reconstruction"] > DEFAULT.compare * 3
 
     def test_char_zero_is_the_largest_char_poly_value(self):
         rng = random.Random(431)
