@@ -26,10 +26,12 @@ MAX_GENERATORS = 63
 # conversion plus 10 ns per subset pair, of which there are 3^n. The rule
 # is the crossover measured on random operands for n = 3..8 and sizes
 # from 2^n / 32 to 2^n blades. The cap keeps the 2^n arrays and the
-# 3^n-pair index tables small (100 KB at n = 8).
+# 3^n-pair index tables small (160 KB at n = 8).
 _DENSE_MAX_N = 8
 _DENSE_MIN_PAIRS = tuple(64 + 3 ** n // 8 for n in range(_DENSE_MAX_N + 1))
-_SUBSET_PAIRS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+_SUBSET_PAIRS: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+# One operator index table per n, for the operand shape (r, k) it was last built for.
+_OPERATOR_INDEX: dict[int, tuple[int, int, np.ndarray]] = {}
 
 
 def mask_from_indices(indices: Iterable[int], n: int) -> int:
@@ -63,18 +65,18 @@ def blade_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), indices_from_mask(mask))
 
 
-def _subset_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _subset_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index tables of subset convolution on n generators, built once per n.
 
-    Every pair (k ^ j, j) with j a subset of k, grouped by k ascending;
-    the group of k starts at starts[k] and holds 2^|k| pairs.
+    Every pair (k ^ j, j) with j a subset of k, and its k, grouped by k
+    ascending; the group of k starts at starts[k] and holds 2^|k| pairs.
     """
     tables = _SUBSET_PAIRS.get(n)
     if tables is None:
         size = 1 << n
         masks = np.arange(size)
         k, j = np.nonzero((masks[:, None] & masks[None, :]) == masks[None, :])
-        tables = (k ^ j, j, np.searchsorted(k, masks))
+        tables = (k ^ j, j, k, np.searchsorted(k, masks))
         _SUBSET_PAIRS[n] = tables
     return tables
 
@@ -87,8 +89,47 @@ def _convolve(n: int, x: np.ndarray, y: np.ndarray, op) -> np.ndarray:
     with op = np.matmul on (2^n, r, k) and (2^n, k, c) stacks it is the
     matrix product, every blade pair multiplied as one batch.
     """
-    left, right, starts = _subset_pairs(n)
+    left, right, _, starts = _subset_pairs(n)
     return np.add.reduceat(op(x[left], y[right]), starts, axis=0)
+
+
+def _operator_index(n: int, r: int, k: int) -> np.ndarray:
+    """Where x[K ^ J] lands in the left-multiplication operator of an (r, k) stack.
+
+    One row per subset pair J of K, in the order of _subset_pairs, holding
+    the r * k flat positions of block (K, J); kept for the last (r, k)
+    seen on each n.
+    """
+    cached = _OPERATOR_INDEX.get(n)
+    if cached is not None and cached[:2] == (r, k):
+        return cached[2]
+    _, block_col, block_row, _ = _subset_pairs(n)
+    width = k << n
+    cells = (np.arange(0, r * width, width)[:, None] + np.arange(k)).ravel()
+    index = (block_row * (r * width) + block_col * k)[:, None] + cells
+    _OPERATOR_INDEX[n] = (r, k, index)
+    return index
+
+
+def _operator_matmul(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix product of (2^n, r, k) and (2^n, k, c) stacks as one GEMM.
+
+    Scatters x into its left-multiplication operator, the
+    (2^n r) x (2^n k) block matrix whose block (K, J) is x[K ^ J] when J
+    is a subset of K and 0 otherwise, and multiplies it by y viewed as
+    (2^n k, c). The operator takes 4^n r k complex slots, so the operand
+    with fewer cells is expanded: entries commute, hence x y = (y^T x^T)^T
+    with every blade's matrix transposed.
+    """
+    size, r, k = x.shape
+    c = y.shape[2]
+    if r * k > k * c:
+        return _operator_matmul(n, y.transpose(0, 2, 1), x.transpose(0, 2, 1)).transpose(0, 2, 1)
+    left = _subset_pairs(n)[0]
+    width = size * k
+    operator = np.zeros(size * r * width, complex)
+    operator[_operator_index(n, r, k)] = x[left].reshape(len(left), r * k)
+    return (operator.reshape(size * r, width) @ y.reshape(width, c)).reshape(size, r, c)
 
 
 def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],

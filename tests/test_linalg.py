@@ -1,5 +1,6 @@
 """Vectors, inner products, matrices, elimination, determinants, inverses."""
 
+import itertools
 import json
 import math
 import pathlib
@@ -29,7 +30,7 @@ from zeonalg import (
     spectral_seminorm,
 )
 
-from zeonalg import linalg
+from zeonalg import algebra, linalg
 from zeonalg.linalg import _det_elimination, _det_permutation
 
 from oracles import (
@@ -721,6 +722,114 @@ class TestCoefficientStack:
             forms(a)[2].scale(ZeonElement.one(n + 1))
         with pytest.raises(DimensionMismatch):
             forms(a)[2].add(square)
+
+
+# ----------------------------------------------------------------------
+# the two kernels of stack products
+
+OPERATOR_SHAPES = ([(r, k, c) for r in range(1, 5) for k in range(1, 5) for c in range(1, 5)]
+                   + [(6, 3, 3), (3, 3, 6)])
+
+
+def rand_stack_operand(rng, rows, cols, n, kind):
+    """A stack-only rows x cols operand with dense complex entries, made by
+    transpose (a strided view), adjoint or _block of another stack matrix."""
+    def stack_only(r, c):
+        return forms(rand_grid(rng, r, c, n, 1 << n))[2]
+    if kind == "transpose":
+        return stack_only(cols, rows).transpose()
+    if kind == "adjoint":
+        return stack_only(cols, rows).adjoint()
+    return stack_only(rows + 2, cols + 1)._block([2, *range(rows - 1)], range(1, cols + 1))
+
+
+def kept_terms(matrix):
+    return [[e.terms for e in row] for row in matrix.entries]
+
+
+class TestOperatorKernel:
+    @pytest.mark.parametrize("n", range(9))
+    def test_matches_gather_and_element_loop(self, n, monkeypatch):
+        rng = random.Random(900 + n)
+        kinds = ("transpose", "adjoint", "block")
+        for i, (r, k, c) in enumerate(OPERATOR_SHAPES):
+            a = rand_stack_operand(rng, r, k, n, kinds[i % 3])
+            b = rand_stack_operand(rng, k, c, n, kinds[(i + 1) % 3])
+            x, y = a._stack, b._stack
+            got = algebra._operator_matmul(n, x, y)
+            want = algebra._convolve(n, x, y, np.matmul)
+            assert got.shape == want.shape == (1 << n, r, c)
+            assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+            pruned = ZeonMatrix._from_stack(got, n, DEFAULT)
+            gathered = ZeonMatrix._from_stack(want, n, DEFAULT)
+            with monkeypatch.context() as patch:
+                patch.setattr(linalg, "_use_stack", lambda n, products, pairs: False)
+                loop = ZeonMatrix(a.entries)._product(ZeonMatrix(b.entries), DEFAULT)
+            assert not on_stack(loop)
+            assert_canonical(pruned)
+            for got_row, gathered_row, loop_row in zip(*map(kept_terms, (pruned, gathered, loop))):
+                for p, q, e in zip(got_row, gathered_row, loop_row):
+                    assert p.keys() == q.keys() == e.keys()
+                    scale = max(1.0, max(map(abs, e.values()), default=0.0))
+                    assert all(abs(p[m] - e[m]) <= 1e-12 * scale for m in e)
+
+    def test_dispatch_rule(self):
+        use = linalg._use_operator
+        # spectral_decompose's products at m = 3, n = 5: square, and X^H [X | AX]
+        assert use(5, 3, 3, 3) and use(5, 3, 3, 6) and use(5, 6, 3, 3)
+        # a side of 1: matrix x vector, row x matrix and outer products gather
+        for n in range(9):
+            assert not any(use(n, *shape) for m in range(1, 9)
+                           for shape in ((m, m, 1), (1, m, m), (m, 1, m)))
+        assert not any(use(n, m, m, m) for n in range(3) for m in range(1, 9))
+        assert use(3, 8, 8, 8) and not use(4, 7, 7, 7) and use(4, 6, 6, 6)
+        assert use(7, 3, 3, 3) and use(7, 2, 6, 2) and not use(7, 4, 4, 4)
+        assert use(8, 2, 4, 2) and use(8, 4, 2, 4) and not use(8, 3, 3, 3)
+        # the expanded operand is the smaller one, so the rule is symmetric in rows
+        # and cols, and a smaller operand never leaves the operator
+        for n in range(9):
+            for r, k, c in itertools.product(range(1, 9), repeat=3):
+                assert use(n, r, k, c) == use(n, c, k, r)
+                if use(n, r, k, c) and min(r, k, c) > 2:
+                    assert use(n, r - 1, k, c) and use(n, r, k - 1, c)
+
+    def test_products_follow_the_rule(self, monkeypatch):
+        calls = []
+
+        def spy(name, kernel):
+            def run(n, x, y, *op):
+                calls.append(op[0].__name__ if op else name)
+                return kernel(n, x, y, *op)
+            return run
+
+        monkeypatch.setattr(linalg, "_operator_matmul", spy("operator", algebra._operator_matmul))
+        monkeypatch.setattr(linalg, "_convolve", spy("", algebra._convolve))
+        rng = random.Random(950)
+        for n, (r, k, c) in [(5, (3, 3, 3)), (5, (6, 3, 3)), (5, (3, 1, 3)), (5, (3, 3, 1)),
+                             (5, (5, 5, 5)), (8, (2, 2, 2)), (8, (3, 3, 3)), (2, (3, 3, 3))]:
+            a = forms(rand_grid(rng, r, k, n, 2))[2]
+            b = rand_grid(rng, k, c, n, 2)
+            calls.clear()
+            got = a.mul(b)
+            assert calls == ["operator" if linalg._use_operator(n, r, k, c) else "matmul"]
+            assert_matches(got, dense_matmul(dense_grid(a), dense_grid(b)))
+
+    def test_index_tables_stay_one_per_n(self, monkeypatch):
+        monkeypatch.setattr(algebra, "_SUBSET_PAIRS", {})
+        monkeypatch.setattr(algebra, "_OPERATOR_INDEX", {})
+        rng = np.random.default_rng(960)
+        for n in (0, 3, 5):
+            for r, k, c in OPERATOR_SHAPES:
+                x = rng.standard_normal((1 << n, r, k)) + 1j
+                y = rng.standard_normal((1 << n, k, c)) - 1j
+                algebra._operator_matmul(n, x, y)
+                algebra._convolve(n, x, y, np.matmul)
+        assert sorted(algebra._SUBSET_PAIRS) == sorted(algebra._OPERATOR_INDEX) == [0, 3, 5]
+        for n, tables in algebra._SUBSET_PAIRS.items():
+            assert [len(t) for t in tables] == [3 ** n] * 3 + [1 << n]
+        # the last shape, 3 x 3 by 3 x 6, expands its 3 x 3 left operand
+        for n, (r, k, index) in algebra._OPERATOR_INDEX.items():
+            assert (r, k) == (3, 3) and index.shape == (3 ** n, 9)
 
 
 # ----------------------------------------------------------------------
