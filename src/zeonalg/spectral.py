@@ -31,28 +31,23 @@ def char_poly(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonPolynomial:
         M_k = A (M_{k-1} + c_{m-k+1} I),  c_{m-k} = -tr(M_k) / k
 
     which only ever divides by integers, so it stays exact up to float
-    rounding.
+    rounding. Its last matrix gives chi_A(A) = M_m + c_0 I, built from
+    the nested products of Horner's rule.
     """
+    return _char_poly(matrix, tol)[0]
+
+
+def _char_poly(matrix: ZeonMatrix, tol: Tolerances) -> tuple[ZeonPolynomial, float]:
+    """char_poly and the largest coefficient of chi_A(A) = M_m + c_0 I."""
     matrix._require_square("characteristic polynomial")
     m, n = matrix.rows, matrix.n
-    coeffs = [ZeonElement.zero(n) for _ in range(m + 1)]
-    coeffs[m] = ZeonElement.one(n)
+    coeffs = [None] * m + [ZeonElement.one(n)]
     mk = matrix
-    c = mk.trace(tol).scale(-1, tol)
-    coeffs[m - 1] = c
+    c = coeffs[m - 1] = mk.trace(tol).scale(-1, tol)
     for k in range(2, m + 1):
         mk = matrix.mul(mk.add(ZeonMatrix.diagonal([c] * m), tol), tol)
-        c = mk.trace(tol).scale(-1.0 / k, tol)
-        coeffs[m - k] = c
-    return ZeonPolynomial(coeffs, tol)
-
-
-def _char_residual(matrix: ZeonMatrix, chi: ZeonPolynomial, tol: Tolerances) -> float:
-    m = matrix.rows
-    acc = ZeonMatrix.diagonal([chi.coeffs[-1]] * m)
-    for k in range(chi.degree - 1, -1, -1):
-        acc = acc.mul(matrix, tol).add(ZeonMatrix.diagonal([chi.coeffs[k]] * m), tol)
-    return acc.norm_inf()
+        c = coeffs[m - k] = mk.trace(tol).scale(-1.0 / k, tol)
+    return ZeonPolynomial(coeffs, tol), mk.add(ZeonMatrix.diagonal([c] * m), tol).norm_inf()
 
 
 def _char_zero(chi: ZeonPolynomial, lam: ZeonMatrix, tol: Tolerances) -> float:
@@ -65,9 +60,8 @@ def _char_zero(chi: ZeonPolynomial, lam: ZeonMatrix, tol: Tolerances) -> float:
 
 
 def cayley_hamilton_residual(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> float:
-    """Largest coefficient magnitude of chi_A(A); zero in exact arithmetic."""
-    chi = char_poly(matrix, tol)
-    return _char_residual(matrix, chi, tol)
+    """Largest coefficient of chi_A(A), from char_poly's last matrix; 0 in exact arithmetic."""
+    return _char_poly(matrix, tol)[1]
 
 
 def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonElement]:
@@ -206,42 +200,53 @@ class SpectralDecomposition:
 def _refine(matrix: ZeonMatrix, tol: Tolerances):
     """Eigenvalue row and eigenvector frame X of a self-adjoint matrix.
 
-    Refinement of the shadow eigenbasis (Ogita and Aishima, 2018): each
-    pass forms R = I - X-adjoint X and S = X-adjoint A X, then
-    lambda_i = S_ii (1 - R_ii)^-1, E_ii = R_ii / 2 and, for i != j,
-    E_ij = (S_ij + lambda_j R_ij) (lambda_j - lambda_i)^-1, and sets
-    X <- X + X E. The lowest grade of the error doubles each pass, so
-    n.bit_length() passes reach the exact frame; one more is run as a
-    margin. Columns are in descending order of the shadow eigenvalues.
-    Returns the 1 x m row of eigenvalues and X.
+    Refinement of the shadow eigenbasis (Ogita and Aishima, 2018) with no
+    series in it. X starts at eigh of the shadow, columns by descending
+    eigenvalue; SpectralSimplicityError names each cluster of eigenvalues
+    closer than tol.scalar_zero times the largest magnitude. Each pass forms
+    G = X-adjoint X = I - R and S = X-adjoint A X, then lambda_i = S_ii (2 - G_ii),
+    E_ii = R_ii / 2 and E_ij = (S_ij - lambda_j G_ij) W_ij for i != j, and
+    sets X <- X + X E. W, 0 on the diagonal, starts at the inverse shadow gaps
+    and takes one Newton step W <- W o (2 - U o W) per pass toward the inverse
+    of the gaps U_ij = lambda_j - lambda_i. The lowest grade of X's error
+    doubles each pass, and the errors of lambda (O(R^2)) and W (squared by
+    each step) stay at or above it, so n.bit_length() passes reach the exact
+    frame; one more is run as a margin. Returns the 1 x m row of eigenvalues and X.
     """
     m, n = matrix.rows, matrix.n
-    shadow = np.linalg.eigh(matrix.scalar_matrix())[1][:, ::-1]
-    if matrix._on_stack():  # keep X where A is, so every product runs on the stacks
-        stack = np.zeros((1 << n, m, m), complex)
-        stack[0] = shadow
-        x = ZeonMatrix._from_stack(stack, n, tol)
-    else:
-        x = ZeonMatrix.from_scalar_matrix(shadow, n, tol)
+    values, vectors = (a[..., ::-1] for a in np.linalg.eigh(matrix.scalar_matrix()))
+    close = values[:-1] - values[1:] <= tol.scalar_zero * np.max(np.abs(values))
+    if close.any():
+        clusters = np.split(values, np.flatnonzero(~close) + 1)
+        desc = ", ".join(f"{c.mean():.6g} x{len(c)}" for c in clusters if len(c) > 1)
+        raise SpectralSimplicityError(
+            f"shadow spectrum is not simple ({desc}); no unique decomposition")
+
+    def scalar(array):  # held where A is, so every product runs on the stacks
+        if matrix._on_stack():
+            stack = np.zeros((1 << n, *array.shape), complex)
+            stack[0] = array
+            return ZeonMatrix._from_stack(stack, n, tol)
+        return ZeonMatrix.from_scalar_matrix(array, n, tol)
+
+    x, two = scalar(vectors), scalar(np.full((m, m), 2.0))
+    w = scalar((1 - np.eye(m)) / (values[None, :] - values[:, None] + np.eye(m)))
     eye = ZeonMatrix.identity(m, n)
     diagonal, lower = list(range(m)), list(range(m, 2 * m))
-    off_diagonal = 1 - np.eye(m)
     # A X rides along as the lower half of Z = [X; A X], so one product
     # per pass updates both: Z <- Z + Z E
     z = _hstack([x.transpose(), matrix.mul(x, tol).transpose()]).transpose()
     for _ in range(n.bit_length() + 1):
         x = z._block(diagonal, diagonal)
         gram_and_s = x.adjoint().mul(_hstack([x, z._block(lower, diagonal)]), tol)
-        gram = gram_and_s._block(diagonal, diagonal)                     # I - R
+        gram = gram_and_s._block(diagonal, diagonal)                     # G = I - R
         s = gram_and_s._block(diagonal, lower)
         lam = s._gather(diagonal, diagonal)._entrywise(
-            gram._gather(diagonal, diagonal)._entrywise_power(-1, tol), tol)
+            two.sub(gram, tol)._gather(diagonal, diagonal), tol)           # S_ii (2 - G_ii)
         lam_cols = lam._block([0] * m, diagonal)                         # (i, j) -> lambda_j
-        # the gaps lambda_j - lambda_i with 1 on the diagonal, inverted and masked
-        weights = lam_cols.sub(lam_cols.transpose(), tol).add(eye, tol)._entrywise_power(
-            -1, tol)._entrywise(off_diagonal, tol)
-        # off the diagonal S - G lambda_j is S + lambda_j R
-        correction = s.sub(gram._entrywise(lam_cols, tol), tol)._entrywise(weights, tol).add(
+        gaps = lam_cols.sub(lam_cols.transpose(), tol)                   # U, 0 on the diagonal
+        w = w._entrywise(two.sub(gaps._entrywise(w, tol), tol), tol)
+        correction = s.sub(gram._entrywise(lam_cols, tol), tol)._entrywise(w, tol).add(
             eye.sub(gram, tol)._entrywise(np.eye(m) / 2, tol), tol)
         z = z.add(z.mul(correction, tol), tol)
     return lam, z._block(diagonal, diagonal)
@@ -250,23 +255,18 @@ def _refine(matrix: ZeonMatrix, tol: Tolerances):
 def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> SpectralDecomposition:
     """Spectral theorem for a self-adjoint matrix with simple shadow spectrum.
 
-    chi_A's shadow roots decide simplicity. All m eigenpairs then come
-    from one refinement of the shadow eigenbasis (_refine), which runs a
-    fixed n.bit_length() + 1 passes. Eigenvector j is X[:, j] X[f, j]^-1
-    with f where column j's shadow is largest, so its coordinate f is 1.
-    All m are normalized at once; _verified checks the frame it returns.
+    All m eigenpairs come from one refinement of the shadow eigenbasis
+    (_refine), which also decides simplicity, in a fixed n.bit_length() + 1
+    passes. Eigenvector j is X[:, j] X[f, j]^-1 with f where column j's
+    shadow is largest, so its coordinate f is 1. All m are normalized at
+    once; _verified checks the frame it returns. chi_A feeds two checks only.
     """
     matrix._require_square("spectral decomposition")
     # char_poly's products put A on its stack where the dispatch picks one,
     # so the self-adjointness test and the refinement run there too
-    chi = char_poly(matrix, tol)
+    chi, cayley_hamilton = _char_poly(matrix, tol)
     if not matrix.is_self_adjoint(tol):
         raise NotSelfAdjointError("matrix is not self-adjoint within tolerance")
-    bad = [r for r in complex_roots(chi, tol).roots if not r.simple]
-    if bad:
-        desc = ", ".join(f"{r.value:.6} x{r.multiplicity}" for r in bad)
-        raise SpectralSimplicityError(
-            f"shadow spectrum is not simple ({desc}); no unique decomposition")
     lam, x = _refine(matrix, tol)
     diagonal, first = list(range(matrix.rows)), [0] * matrix.rows
     free = np.argmax(np.abs(x.scalar_matrix()), axis=0).tolist()
@@ -274,12 +274,12 @@ def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> Spectra
     raw = x._entrywise(pivots._block(first, diagonal), tol)
     # <raw_j, raw_j> is the diagonal of raw-adjoint raw; column j is scaled by its -1/2 power
     scales = raw.adjoint().mul(raw, tol)._gather(diagonal, diagonal)._entrywise_power(-0.5, tol)
-    return _verified(matrix, chi, lam, raw, raw._entrywise(scales._block(first, diagonal), tol),
-                     tol)
+    return _verified(matrix, chi, cayley_hamilton, lam, raw,
+                     raw._entrywise(scales._block(first, diagonal), tol), tol)
 
 
-def _verified(matrix: ZeonMatrix, chi: ZeonPolynomial, lam: ZeonMatrix, raw: ZeonMatrix,
-              frame: ZeonMatrix, tol: Tolerances) -> SpectralDecomposition:
+def _verified(matrix: ZeonMatrix, chi: ZeonPolynomial, cayley_hamilton: float, lam: ZeonMatrix,
+              raw: ZeonMatrix, frame: ZeonMatrix, tol: Tolerances) -> SpectralDecomposition:
     """Decomposition with values lam, raw vectors and normalized frame V, checked on V.
 
     Raises NonConvergenceError, with the decomposition as its report, when
@@ -304,7 +304,7 @@ def _verified(matrix: ZeonMatrix, chi: ZeonPolynomial, lam: ZeonMatrix, raw: Zeo
         "orthogonal": max((r for (j, k), r in residual.items() if j != k), default=0.0),
         "identity": both._block(diagonal, diagonal).sub(ZeonMatrix.identity(m, n), tol).norm_inf(),
         "reconstruction": misfit / (matrix.norm_inf() or 1.0),
-        "cayley_hamilton": _char_residual(matrix, chi, tol),
+        "cayley_hamilton": cayley_hamilton,
         "orthonormal": gram_defect.norm_inf(),
         "char_zero": _char_zero(chi, lam, tol),
     }

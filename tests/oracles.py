@@ -240,12 +240,15 @@ def rand_unitary_frame(rng, m: int, n: int, dust: float = 0.3) -> list[ZeonVecto
 
 
 def rand_real_eigenvalues(rng, m: int, n: int, separation: float = 0.5) -> list[ZeonElement]:
-    """Real-coefficient zeon values with well-separated scalar parts."""
-    scalars = []
-    while len(scalars) < m:
-        candidate = rng.uniform(-3.0, 3.0)
-        if all(abs(candidate - s) >= separation for s in scalars):
-            scalars.append(candidate)
+    """Real-coefficient zeon values with well-separated scalar parts.
+
+    Scalar part k sits at a uniform offset in the k-th of m even slots across
+    [-3, 3], widened to m * separation when that is shorter; each slot leaves
+    the last `separation` of its width empty, so neighbours stay that far apart.
+    """
+    width = max(6.0, m * separation) / m
+    scalars = [-width * m / 2 + k * width + rng.uniform(0.0, width - separation)
+               for k in range(m)]
     values = []
     for s in scalars:
         terms = {0: complex(s)}

@@ -14,6 +14,7 @@ from zeonalg import (
     NonConvergenceError,
     NotSelfAdjointError,
     SpectralSimplicityError,
+    Tolerances,
     ZeonElement,
     ZeonError,
     ZeonMatrix,
@@ -386,6 +387,30 @@ class TestSpectralDecompose:
         with pytest.raises(SpectralSimplicityError):
             spectral_decompose(d)
 
+    @pytest.mark.parametrize("scale", [3e-5, 1e-5, 1e-6])
+    def test_small_simple_spectrum_decomposes(self, spectral_matrix, scale):
+        # simplicity is relative to the spectrum's size, so a scaled copy
+        # decomposes into the scaled eigenvalues
+        want = [p.value for p in spectral_decompose(spectral_matrix).eigenpairs]
+        got = [p.value for p in spectral_decompose(spectral_matrix.scale(scale)).eigenpairs]
+        for g, w in zip(got, want, strict=True):
+            assert g.max_diff(w.scale(scale)) <= 1e-12 * scale * w.norm_inf()
+
+    @pytest.mark.parametrize("gap, simple", [(2.0 ** -30, False), (2.0 ** -29, True)],
+                             ids=["at-bound", "above-bound"])
+    def test_simplicity_bound_is_relative_to_the_largest_value(self, gap, simple):
+        # shadow values 1, 1 - gap and -2, all exact in binary, against the
+        # bound scalar_zero * 2 = 2^-30: a gap at the bound is a cluster
+        tol = Tolerances(scalar_zero=2.0 ** -31)
+        d = ZeonMatrix.diagonal([Z(2, {0: 1.0, 0b01: 0.5}), Z(2, {0: 1.0 - gap, 0b10: 0.25}),
+                                 Z(2, {0: -2.0, 0b11: 1.0})])
+        if simple:
+            values = [p.value for p in spectral_decompose(d, tol).eigenpairs]
+            assert all(v.allclose(e) for v, e in zip(values, [d[0, 0], d[1, 1], d[2, 2]]))
+        else:
+            with pytest.raises(SpectralSimplicityError, match=r"not simple \(1 x2\)"):
+                spectral_decompose(d, tol)
+
     def test_decomposition_json(self, spectral_matrix):
         blob = spectral_decompose(spectral_matrix).to_json()
         assert {"eigenvalues", "eigenvectors", "projections", "checks"} <= set(blob)
@@ -410,7 +435,7 @@ class TestGramChecks:
         raw = spectral._frame([p.vector for p in exact])
         frame = spectral._frame([p.normalized for p in exact]).add(ZeonMatrix([[blade] * m] * m))
         with pytest.raises(NonConvergenceError, match="refined eigenvector frame") as info:
-            spectral._verified(a, char_poly(a), lam, raw, frame, DEFAULT)
+            spectral._verified(a, *spectral._char_poly(a, DEFAULT), lam, raw, frame, DEFAULT)
         decomp = info.value.report
         idem, ortho = projection_product_residuals(decomp.projections)
         orthonormal = orthonormality_residual([p.normalized for p in decomp.eigenpairs])
@@ -447,11 +472,18 @@ def assert_recovers(a, values):
 class TestRefinement:
     """All eigenpairs come from one refinement of the shadow eigenbasis."""
 
-    @pytest.mark.parametrize("m, n, count", [(6, 6, 12), (6, 8, 5), (8, 4, 12)])
+    @pytest.mark.parametrize("m, n, count", [(6, 6, 12), (6, 8, 5), (8, 4, 12), (10, 4, 4)])
     def test_planted_matrices_past_the_acceptance_sizes(self, m, n, count):
         for seed in range(1000, 1000 + count):
             a, values, _ = rand_self_adjoint(random.Random(seed), m, n)
             assert_recovers(a, values)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_planted_small_matrices_at_every_pass_count(self, m, n):
+        # n = 1..8 crosses every n.bit_length() edge of the fixed pass count
+        a, values, _ = rand_self_adjoint(random.Random(500 + 10 * m + n), m, n)
+        assert_recovers(a, values)
 
     def test_planted_decomposition_on_element_grids(self):
         a, values, _ = rand_self_adjoint(random.Random(419), 3, 9)
@@ -478,7 +510,22 @@ class TestRefinement:
 
         monkeypatch.setattr(spectral, "lift_simple_zero", refuse)
         monkeypatch.setattr(spectral, "eigenvector", refuse)
+        monkeypatch.setattr(spectral, "complex_roots", refuse)
         assert len(spectral_decompose(spectral_matrix).eigenpairs) == 3
+
+    def test_two_entrywise_powers_per_decomposition(self, monkeypatch, spectral_matrix):
+        # the refinement sums no series: the only powers are the pivots' -1
+        # and the normalization's -1/2
+        alphas = []
+        power = ZeonMatrix._entrywise_power
+
+        def spy(self, alpha, tol):
+            alphas.append(alpha)
+            return power(self, alpha, tol)
+
+        monkeypatch.setattr(ZeonMatrix, "_entrywise_power", spy)
+        spectral_decompose(spectral_matrix)
+        assert alphas == [-1, -0.5]
 
     @pytest.mark.parametrize("part", ["frame", "values"])
     def test_frame_gate_raises(self, monkeypatch, spectral_matrix, part):
