@@ -15,7 +15,7 @@ import json
 import sys
 
 from .algebra import ZeonElement
-from .errors import ParseError, ZeonError
+from .errors import NonFiniteResultError, ParseError, ZeonError
 from .linalg import ZeonMatrix, determinant, eliminate, mat_inverse
 from .poly import ZeonPolynomial, complex_roots, lift_simple_zero, poly_divide, split
 from .spectral import char_poly, eigenvalues, eigenvector, spectral_decompose
@@ -225,6 +225,20 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
     raise ParseError(f"unknown command {name!r}")
 
 
+def _result_json(obj) -> str:
+    """The result as JSON; a NaN or infinite coefficient makes it a domain error.
+
+    Such a value comes from overflow (a determinant of entries near 1e100,
+    say), and JSON has no literal for it, so no format prints it as a result.
+    """
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResultError(
+            "the result has a NaN or infinite coefficient (overflow); "
+            "it is not a valid zeon value") from exc
+
+
 def _emit(args, text: str) -> int:
     """Writes the result; an unwritable output path is a usage error (exit 1)."""
     if not args.output:
@@ -248,13 +262,14 @@ def main(argv=None) -> int:
     try:
         tol = _tolerances(args)
         obj, pretty_text = _run_command(args, tol)
+        json_text = _result_json(obj)
     except ParseError as exc:
         print(json.dumps({"error": "parse", "detail": str(exc)}))
         return 1
     except ZeonError as exc:
         print(json.dumps({"error": exc.code, "detail": str(exc)}))
         return 2
-    return _emit(args, json.dumps(obj, indent=2) if args.as_json else pretty_text)
+    return _emit(args, json_text if args.as_json else pretty_text)
 
 
 def run_main() -> None:

@@ -47,6 +47,12 @@ class NotSelfAdjointError(ZeonError):
     code = "not_self_adjoint"
 
 
+class NonFiniteResultError(ZeonError):
+    """A computed result holds a NaN or infinite coefficient, so it is no zeon value."""
+
+    code = "non_finite"
+
+
 class NonConvergenceError(ZeonError):
     """Iteration cap reached; ``report`` carries the partial result."""
 

@@ -232,6 +232,12 @@ def _stack_of(entries: Sequence[Sequence[ZeonElement]], n: int) -> np.ndarray:
     return flat.reshape(1 << n, rows, cols)
 
 
+def _prune(stack: np.ndarray, tol: Tolerances) -> None:
+    """Zero, in place, every coefficient below tol.prune, by the rule of
+    ZeonElement.__init__: NaN is dropped, infinities are kept."""
+    stack[~(np.abs(stack) >= tol.prune)] = 0
+
+
 def _entries_of(stack: np.ndarray, n: int) -> tuple[tuple[ZeonElement, ...], ...]:
     """Grid of elements holding the nonzero coefficients of a pruned stack."""
     size, rows, cols = stack.shape
@@ -295,11 +301,10 @@ class ZeonMatrix:
 
     @classmethod
     def _from_stack(cls, stack: np.ndarray, n: int, tol: Tolerances | None) -> "ZeonMatrix":
-        # Internal: adopt a stack made by arithmetic, pruned here with the
-        # rule of ZeonElement.__init__ (NaN dropped, infinities kept), or
-        # as it is when tol is None because it is already pruned.
+        # Internal: adopt a stack made by arithmetic, pruned here, or as it
+        # is when tol is None because it is already pruned.
         if tol is not None:
-            stack[~(np.abs(stack) >= tol.prune)] = 0
+            _prune(stack, tol)
         obj = cls.__new__(cls)
         obj._entries = None
         obj._stack = stack
@@ -498,16 +503,26 @@ class ZeonMatrix:
     def _entrywise_power(self, alpha: float, tol: Tolerances) -> "ZeonMatrix":
         # Internal: every entry u = c (1 + x) to c^alpha (1 + x)^alpha, c its scalar part,
         # as in ZeonElement._power: the one binomial series, on the entrywise product.
+        # On a stack the series runs on the bare coefficient arrays (_BareStack) and
+        # its sum is pruned once, here.
+        n = self.n
         c = self.scalar_matrix()
         if np.min(np.abs(c)) <= tol.scalar_zero:
             raise SingularityError("an entry has scalar part within scalar-zero tolerance; "
                                    "not invertible")
-        ones = self._map(lambda s: np.concatenate((np.ones_like(s[:1]), np.zeros_like(s[1:]))),
-                         lambda e: ZeonElement.one(self.n))
+        power = c ** alpha if isinstance(alpha, int) else np.exp(alpha * np.log(c))
+        if self._on_stack():
+            x = self._stack / c
+            x[0] = 0
+            one = np.zeros_like(x)
+            one[0] = 1
+            series = _binomial_series(_BareStack(x, n), alpha, _BareStack(one, n),
+                                      _BareStack.entrywise, tol)
+            return ZeonMatrix._from_stack(series.stack * power, n, tol)
+        ones = ZeonMatrix._wrap(((ZeonElement.one(n),) * self.cols,) * self.rows, n)
         series = _binomial_series(self.dual()._entrywise(1 / c, tol), alpha, ones,
                                   ZeonMatrix._entrywise, tol)
-        return series._entrywise(c ** alpha if isinstance(alpha, int)
-                                 else np.exp(alpha * np.log(c)), tol)
+        return series._entrywise(power, tol)
 
     def _map(self, on_stack, on_element) -> "ZeonMatrix":
         # Internal: an entrywise map that keeps every magnitude, so a pruned
@@ -621,6 +636,33 @@ class ZeonMatrix:
         return f"<ZeonMatrix {self.rows}x{self.cols} n={self.n}>"
 
 
+class _BareStack:
+    """A coefficient stack with the arithmetic _binomial_series uses, unpruned.
+
+    Each operation is one numpy call on the (2^n, rows, cols) array, with
+    none of a ZeonMatrix's dispatch or per-result prune; the caller prunes
+    the sum.
+    """
+
+    __slots__ = ("stack", "n")
+
+    def __init__(self, stack: np.ndarray, n: int):
+        self.stack = stack
+        self.n = n
+
+    def norm_inf(self) -> float:
+        return float(np.abs(self.stack).max())
+
+    def add(self, other: "_BareStack", tol: Tolerances) -> "_BareStack":
+        return _BareStack(self.stack + other.stack, self.n)
+
+    def scale(self, value: float, tol: Tolerances) -> "_BareStack":
+        return _BareStack(self.stack * value, self.n)
+
+    def entrywise(self, other: "_BareStack", tol: Tolerances) -> "_BareStack":
+        return _BareStack(_convolve(self.n, self.stack, other.stack, np.multiply), self.n)
+
+
 def _hstack(blocks: Sequence[ZeonMatrix]) -> ZeonMatrix:
     """Matrices of equal row count and n side by side, on their stacks when all hold one."""
     n = blocks[0].n
@@ -658,7 +700,9 @@ class RowOp:
 class EliminationReport:
     """Outcome of Gaussian elimination.
 
-    upper: the reduced matrix (echelon up to skipped columns).
+    upper: the reduced matrix (echelon up to skipped columns), exactly 0
+        below every pivot. After elimination on the coefficient stack it
+        holds that stack and builds its entries when first read.
     ops: the row operations applied, in order.
     det_factor: unit u with det(upper) = u * det(input) for square input.
     pivot_count: number of invertible pivots found; less than full rank
@@ -695,6 +739,63 @@ def apply_row_ops(matrix: ZeonMatrix, ops: Sequence[RowOp],
     return ZeonMatrix(rows)
 
 
+def _working_stack(matrix: ZeonMatrix) -> np.ndarray | None:
+    """A private copy of the coefficient stack to eliminate on, or None for the element loop.
+
+    Elimination runs on the stack when the matrix already holds one, or
+    when _use_stack would put its first update, the (m - 1) x 1 column
+    below the first row by that 1 x ncols row, on stacks. The copy leaves
+    the caller's matrix, and any stack it holds, untouched.
+    """
+    if matrix._stack is not None:
+        return matrix._stack.copy()
+    entries = matrix.entries
+
+    def pairs():
+        return (sum(len(row[0].terms) for row in entries[1:])
+                * sum(len(e.terms) for e in entries[0]))
+
+    if _use_stack(matrix.n, (matrix.rows - 1) * matrix.cols, pairs):
+        return _stack_of(entries, matrix.n)
+    return None
+
+
+def _clear_below_on_elements(rows: list[list[ZeonElement]], pr: int, col: int,
+                             tol: Tolerances) -> list[tuple[int, ZeonElement]]:
+    # Internal: add factor * row pr to every row below it whose entry in col
+    # holds terms, one element product per entry; returns (row, factor).
+    pivot_inv = rows[pr][col].inverse(tol)
+    zero = ZeonElement.zero(pivot_inv.n)
+    factors = []
+    for r in range(pr + 1, len(rows)):
+        entry = rows[r][col]
+        if not entry.terms:
+            continue
+        factor = -entry.mul(pivot_inv, tol)
+        factors.append((r, factor))
+        rows[r] = [a.add(factor.mul(b, tol), tol) for a, b in zip(rows[r], rows[pr])]
+        rows[r][col] = zero  # cleared exactly by construction
+    return factors
+
+
+def _clear_below_on_stack(stack: np.ndarray, pr: int, col: int, n: int,
+                          tol: Tolerances) -> list[tuple[int, ZeonElement]]:
+    # Internal: the same step on a (2^n, m, ncols) working stack, as one
+    # rank-one update of the rows below: factors = -(column below) * pivot^-1
+    # entrywise, then rows += factors (x) row pr, both broadcast convolutions.
+    pivot = ZeonMatrix._from_stack(stack[:, pr:pr + 1, col:col + 1], n, None)
+    below = stack[:, pr + 1:]
+    column = below[:, :, col:col + 1]
+    hit = np.flatnonzero(column.any(axis=(0, 2))).tolist()
+    factors = -_convolve(n, column, pivot._entrywise_power(-1, tol)._stack, np.multiply)
+    _prune(factors, tol)
+    below += _convolve(n, factors, stack[:, pr:pr + 1], np.multiply)
+    below[:, :, col] = 0  # cleared exactly by construction
+    _prune(below, tol)
+    elements = _entries_of(factors[:, hit], n)
+    return [(pr + 1 + r, row[0]) for r, row in zip(hit, elements)]
+
+
 def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationReport:
     """Forward Gaussian elimination with invertible pivots.
 
@@ -702,10 +803,22 @@ def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationRepor
     scalar-part magnitude. Columns offering no invertible entry are
     skipped (their nilpotent residue stays put), which is how rank
     deficiency over the algebra shows up in pivot_count.
+
+    Each pivot step adds a multiple of the pivot row to every row below
+    it whose entry in the pivot column holds terms, and records that as
+    an axpy RowOp. The steps run on a private copy of the (2^n, m, ncols)
+    coefficient stack, one rank-one update per pivot, when the matrix
+    holds a stack or _use_stack would put the first update on stacks
+    (see _working_stack); otherwise on a grid of elements, one element
+    product per entry. Both forms choose the same pivots, barring ties
+    within rounding, and agree to rounding. On the stack, ``upper``
+    holds that stack and builds its entries when read. The input matrix
+    is never changed.
     """
     n = matrix.n
     m, ncols = matrix.rows, matrix.cols
-    rows = [list(r) for r in matrix.entries]
+    stack = _working_stack(matrix)
+    rows = [list(r) for r in matrix.entries] if stack is None else None
     ops: list[RowOp] = []
     det_factor = ZeonElement.one(n)
     pivots: list[tuple[int, int]] = []
@@ -713,33 +826,29 @@ def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationRepor
     for col in range(ncols):
         if pr == m:
             break
+        scalars = (stack[0, pr:, col].tolist() if rows is None
+                   else [row[col].scalar_part() for row in rows[pr:]])
         best = None
         best_mag = tol.scalar_zero
-        for r in range(pr, m):
-            mag = abs(rows[r][col].scalar_part())
+        for r, mag in enumerate(map(abs, scalars), pr):
             if mag > best_mag:
                 best, best_mag = r, mag
         if best is None:
             continue
         if best != pr:
-            rows[pr], rows[best] = rows[best], rows[pr]
+            if rows is None:
+                stack[:, [pr, best]] = stack[:, [best, pr]]
+            else:
+                rows[pr], rows[best] = rows[best], rows[pr]
             ops.append(RowOp("swap", pr, best))
             det_factor = det_factor.scale(-1)
-        pivot_inv = rows[pr][col].inverse(tol)
-        for r in range(pr + 1, m):
-            entry = rows[r][col]
-            if not entry.terms:
-                continue
-            factor = -entry.mul(pivot_inv, tol)
-            ops.append(RowOp("axpy", pr, r, factor))
-            new_row = [rows[r][c].add(factor.mul(rows[pr][c], tol), tol)
-                       for c in range(ncols)]
-            new_row[col] = ZeonElement.zero(n)  # cleared exactly by construction
-            rows[r] = new_row
+        factors = (_clear_below_on_stack(stack, pr, col, n, tol) if rows is None
+                   else _clear_below_on_elements(rows, pr, col, tol))
+        ops.extend(RowOp("axpy", pr, r, factor) for r, factor in factors)
         pivots.append((pr, col))
         pr += 1
-    return EliminationReport(ZeonMatrix(rows), tuple(ops), det_factor,
-                             len(pivots), tuple(pivots))
+    upper = ZeonMatrix._from_stack(stack, n, None) if rows is None else ZeonMatrix(rows)
+    return EliminationReport(upper, tuple(ops), det_factor, len(pivots), tuple(pivots))
 
 
 # ----------------------------------------------------------------------
@@ -787,16 +896,19 @@ def _det_elimination(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
     * det N, with det N by the permutation sum (N is empty at full pivot
     rank). det_factor is +-1, its own inverse: elimination only swaps
     rows and adds multiples of rows.
+
+    The pivots and N are read from ``upper`` in the form elimination left
+    it, so after elimination on the stack only those entries are built.
     """
     report = eliminate(matrix, tol)
-    upper = report.upper.entries
+    pivot_rows = [row for row, _ in report.pivots]
     pivot_cols = [col for _, col in report.pivots]
     free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
     det = report.det_factor
     if sum(p > f for p in pivot_cols for f in free_cols) & 1:
         det = -det
-    for row, col in report.pivots:
-        det = det.mul(upper[row][col], tol)
+    for pivot in report.upper._gather(pivot_rows, pivot_cols).entries[0]:
+        det = det.mul(pivot, tol)
     if free_cols:
         nilpotent_block = report.upper._block(range(report.pivot_count, matrix.rows), free_cols)
         det = det.mul(_det_permutation(nilpotent_block, tol), tol)

@@ -237,6 +237,17 @@ class TestMatrixCommands:
         assert code == 2
         assert json.loads(out)["error"] == "dimension"
 
+    @pytest.mark.parametrize("fmt", ["--json", "--pretty"])
+    def test_non_finite_result_exits_2(self, fmt):
+        # 1e100 ** 5 overflows: the determinant would be inf + NaN j, which no
+        # JSON document can hold and no format should print as a result
+        a = ZeonMatrix.diagonal([ZeonElement.scalar(1, 1e100)] * 5)
+        code, out, err = run_cli("det", fmt, stdin_text=json.dumps(a.to_json()))
+        assert code == 2
+        assert "Traceback" not in err
+        blob = json.loads(out)
+        assert blob["error"] == "non_finite"
+
     def test_eliminate_report(self):
         code, out, _ = run_cli("eliminate", fixture("mat_det_example.json"))
         assert code == 0
@@ -324,7 +335,11 @@ class TestPrettyGolden:
     @pytest.mark.parametrize("command, name, exit_code", [
         (command, name, 2 if (command, name) == ("spectral", "mat_det_example") else 0)
         for name in ("mat_spectral", "mat_det_example")
-        for command in ("eigen", "spectral", "charpoly", "det", "eliminate")])
+        for command in ("eigen", "spectral", "charpoly", "det", "eliminate")] + [
+        # 5 x 5: determinant by elimination; the dense one eliminates on the stack
+        (command, name, 0)
+        for name in ("mat_dense5_n3", "mat_sparse5_n3")
+        for command in ("det", "eliminate")])
     def test_pretty_output_is_pinned(self, command, name, exit_code):
         code, out, _ = run_cli(command, "--pretty", fixture(f"{name}.json"))
         assert code == exit_code
@@ -374,6 +389,8 @@ class TestFixtureRoundTrips:
         "vec_v2.json",
         "mat_det_example.json",
         "mat_spectral.json",
+        "mat_dense5_n3.json",
+        "mat_sparse5_n3.json",
         "poly_quartic.json",
         "poly_nonsplit.json",
         "polydiv_pair.json",

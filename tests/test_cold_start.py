@@ -37,6 +37,8 @@ CLI = """
     (["det", "mat_det_example.json"], 0),
     (["det", "mat_spectral.json"], 0),
     (["eliminate", "mat_det_example.json"], 0),
+    (["det", "mat_sparse5_n3.json"], 0),
+    (["eliminate", "mat_sparse5_n3.json"], 0),
     (["inv", "elem_invertible.json"], 0),
     (["root", "-k", "2", "elem_invertible.json"], 0),
     (["polydiv", "polydiv_pair.json"], 0),
@@ -51,6 +53,15 @@ def test_command_leaves_numpy_unloaded(args, exit_code):
     code, numpy_loaded = run_python(CLI, *argv)
     assert code == exit_code
     assert not numpy_loaded
+
+
+@pytest.mark.parametrize("command", ["det", "eliminate"])
+def test_dense_elimination_loads_numpy(command):
+    # every entry of mat_dense5_n3.json holds all 7 nilpotent blades, so elimination
+    # runs on the stack
+    code, numpy_loaded = run_python(CLI, command, str(FIXTURES / "mat_dense5_n3.json"))
+    assert code == 0
+    assert numpy_loaded
 
 
 def test_import_leaves_numpy_unloaded():

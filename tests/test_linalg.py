@@ -252,7 +252,7 @@ class TestElimination:
             assert apply_row_ops(a, report.ops).allclose(report.upper)
             for j in range(m):
                 for i in range(j + 1, m):
-                    assert report.upper.entries[i][j].norm_inf() <= 1e-9
+                    assert not report.upper.entries[i][j].terms
 
     def test_strategies_agree_on_pivot_count(self):
         # The matrix and its rows reversed take different pivot rows under
@@ -296,6 +296,107 @@ class TestElimination:
         assert set(blob) == {"upper", "ops", "det_factor", "pivot_count", "pivots"}
         for op in blob["ops"]:
             assert op["kind"] in {"swap", "axpy"}
+
+
+def _eliminate_on_elements(a, monkeypatch):
+    """eliminate on a fresh grid of a's entries, with the stack rule turned off."""
+    with monkeypatch.context() as patch:
+        patch.setattr(linalg, "_use_stack", lambda *args: False)
+        return eliminate(ZeonMatrix(a.entries))
+
+
+def _eliminate_on_stack(a):
+    """eliminate on a stack-backed copy of a, which puts elimination on the stack."""
+    stacked = ZeonMatrix(a.entries)
+    stacked._coeffs()
+    return eliminate(stacked)
+
+
+def _forms_case(rng, n, rows, cols, nilpotent_cols=(), nilpotent_row=False):
+    """rows x cols matrix with sparse and dense entries on n generators."""
+    def entry(kind):
+        if kind == "nilpotent" and n == 0:
+            return ZeonElement.zero(0)
+        return rand_element(rng, n, rng.choice([2, 1 << n]), kind)
+
+    grid = [[entry("nilpotent" if j in nilpotent_cols else "any") for j in range(cols)]
+            for _ in range(rows)]
+    if nilpotent_row:
+        grid[rng.randrange(rows)] = [entry("nilpotent") for _ in range(cols)]
+    return ZeonMatrix(grid)
+
+
+def _max_diff(a, b):
+    return max(x.max_diff(y) for ra, rb in zip(a.entries, b.entries) for x, y in zip(ra, rb))
+
+
+class TestEliminationForms:
+    """The element loop and the stack's rank-one updates are one elimination."""
+
+    CASES = [(n, rows, cols, nilpotent_cols, nilpotent_row)
+             for n in range(9)
+             for rows, cols, nilpotent_cols, nilpotent_row in [
+                 (2, 2, (), False), (3, 3, (1,), False), (4, 4, (), True),
+                 (5, 5, (2,), False), (6, 6, (1, 4), True), (7, 7, (3,), False),
+                 (3, 6, (0,), False), (6, 3, (), False), (7, 2, (), True), (2, 7, (5,), False)]]
+
+    @pytest.mark.parametrize("n, rows, cols, nilpotent_cols, nilpotent_row", CASES)
+    def test_forms_agree(self, n, rows, cols, nilpotent_cols, nilpotent_row, monkeypatch):
+        rng = random.Random(1000 * n + 10 * rows + cols)
+        a = _forms_case(rng, n, rows, cols, nilpotent_cols, nilpotent_row)
+        grid = _eliminate_on_elements(a, monkeypatch)
+        stack = _eliminate_on_stack(a)
+        assert grid.upper._stack is None and stack.upper._stack is not None
+
+        assert stack.pivots == grid.pivots
+        assert stack.pivot_count == grid.pivot_count == len(grid.pivots)
+        assert stack.det_factor.terms == grid.det_factor.terms
+        assert [(op.kind, op.i, op.j) for op in stack.ops] == \
+            [(op.kind, op.i, op.j) for op in grid.ops]
+
+        scale = max(1.0, a.norm_inf(), grid.upper.norm_inf())
+        assert _max_diff(stack.upper, grid.upper) <= 1e-12 * scale
+        for op_s, op_g in zip(stack.ops, grid.ops):
+            if op_g.kind == "axpy":
+                assert op_s.factor.max_diff(op_g.factor) <= 1e-12 * max(1.0, op_g.factor.norm_inf())
+
+        for report in (grid, stack):
+            for row, col in report.pivots:
+                assert all(not report.upper[i, col].terms for i in range(row + 1, rows))
+            replay = apply_row_ops(a, report.ops)
+            assert _max_diff(replay, report.upper) <= 1e-12 * scale
+
+    def test_input_is_left_unchanged(self, monkeypatch):
+        rng = random.Random(211)
+        a = _forms_case(rng, 5, 6, 6, (2,), True)
+        grid = ZeonMatrix(a.entries)
+        entries = grid.entries
+        assert eliminate(grid).upper._stack is not None  # on a stack built for the call
+        assert grid._stack is None and grid.entries is entries
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_use_stack", lambda *args: False)
+            assert eliminate(grid).upper._stack is None
+        assert grid._stack is None and grid.entries is entries
+
+        stacked = ZeonMatrix(a.entries)
+        entries = stacked.entries
+        coeffs = stacked._coeffs()
+        before = coeffs.copy()
+        report = eliminate(stacked)
+        assert stacked._coeffs() is coeffs and np.array_equal(coeffs, before)
+        assert stacked.entries is entries
+        assert report.upper._stack is not coeffs
+
+    def test_dense_determinant_on_the_stack(self):
+        rng = random.Random(223)
+        for _ in range(3):
+            a = ZeonMatrix([[rand_element(rng, 5, 32, "invertible" if i == j else "any")
+                             for j in range(5)] for i in range(5)])
+            assert eliminate(a).upper._stack is not None
+            want = _det_permutation(a, DEFAULT)
+            got = _det_elimination(a, DEFAULT)
+            assert got.max_diff(want) <= 1e-12 * max(1.0, want.norm_inf())
+            assert a._stack is None
 
 
 def _with_nilpotent_lines(rng, m, n, columns, nilpotent_row=False):
