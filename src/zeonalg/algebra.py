@@ -170,9 +170,9 @@ def _binomial_series(x, alpha: float, one, product, tol: Tolerances):
 
     x^(n+1) = 0 on n generators, so the sum is finite. Powers are taken
     with product(power, x, tol); besides it only add, scale and norm_inf
-    are used, so x can be a ZeonElement (the element product, one = 1) or
-    a ZeonMatrix, with the matrix product (one = the identity) or the
-    entrywise product (one = the all-ones matrix).
+    are used, so x can be a ZeonElement (the element product, one = 1), a
+    ZeonMatrix (the matrix product, one = the identity) or a bare
+    coefficient stack (the entrywise product, one = 1 in every entry).
     """
     acc = one
     power = x

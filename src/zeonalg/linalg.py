@@ -48,6 +48,14 @@ def _use_stack(n: int, products: int, pairs) -> bool:
             and pairs() >= _STACK_MIN_PAIRS[n])
 
 
+def _stored_pairs(left: Sequence[Sequence[ZeonElement]],
+                  right: Sequence[Sequence[ZeonElement]]) -> int:
+    """Stored-term pairs of the product of two element grids: the sum over l
+    of (terms in column l of left) * (terms in row l of right)."""
+    return sum(sum(len(e.terms) for e in col) * sum(len(e.terms) for e in row)
+               for col, row in zip(zip(*left), right))
+
+
 # A product of (2^n, rows, inner) and (2^n, inner, cols) stacks runs as one
 # GEMM on the left-multiplication operator (_operator_matmul) when no side
 # is 1 and the expanded operand, min(rows, cols) * inner cells, has at most
@@ -341,8 +349,13 @@ class ZeonMatrix:
 
     @classmethod
     def from_scalar_matrix(cls, array, n: int, tol: Tolerances = DEFAULT) -> "ZeonMatrix":
-        """Embed a complex matrix as scalar zeon entries."""
+        """Embed a complex matrix as scalar zeon entries: the blade-0 layer
+        of a stack for n <= _DENSE_MAX_N, a grid of elements above."""
         arr = np.asarray(array, dtype=complex)
+        if n <= _DENSE_MAX_N:
+            stack = np.zeros((1 << n, *arr.shape), complex)
+            stack[0] = arr
+            return cls._from_stack(stack, n, tol)
         return cls([[ZeonElement.scalar(n, arr[i, j], tol) for j in range(arr.shape[1])]
                     for i in range(arr.shape[0])])
 
@@ -412,13 +425,8 @@ class ZeonMatrix:
 
     def _product(self, other: "ZeonMatrix", tol: Tolerances) -> "ZeonMatrix":
         n = self.n
-
-        def pairs():
-            a = [[len(e.terms) for e in row] for row in self.entries]
-            b = [sum(len(e.terms) for e in row) for row in other.entries]
-            return sum(sum(col) * terms for col, terms in zip(zip(*a), b))
-
-        if self._on_stack(other) or _use_stack(n, self.rows * self.cols * other.cols, pairs):
+        if self._on_stack(other) or _use_stack(n, self.rows * self.cols * other.cols,
+                                               lambda: _stored_pairs(self.entries, other.entries)):
             x, y = self._coeffs(), other._coeffs()
             if _use_operator(n, self.rows, self.cols, other.cols):
                 return ZeonMatrix._from_stack(_operator_matmul(n, x, y), n, tol)
@@ -502,27 +510,25 @@ class ZeonMatrix:
 
     def _entrywise_power(self, alpha: float, tol: Tolerances) -> "ZeonMatrix":
         # Internal: every entry u = c (1 + x) to c^alpha (1 + x)^alpha, c its scalar part,
-        # as in ZeonElement._power: the one binomial series, on the entrywise product.
-        # On a stack the series runs on the bare coefficient arrays (_BareStack) and
-        # its sum is pruned once, here.
+        # by the one binomial series of ZeonElement._power: on a grid, that method per
+        # entry; on a stack, the series on the bare coefficient arrays (_BareStack), its
+        # sum pruned once, here.
         n = self.n
-        c = self.scalar_matrix()
+        if not self._on_stack():
+            return ZeonMatrix._wrap(tuple(tuple(e._power(alpha, tol) for e in row)
+                                          for row in self.entries), n)
+        c = self._stack[0]
         if np.min(np.abs(c)) <= tol.scalar_zero:
             raise SingularityError("an entry has scalar part within scalar-zero tolerance; "
                                    "not invertible")
         power = c ** alpha if isinstance(alpha, int) else np.exp(alpha * np.log(c))
-        if self._on_stack():
-            x = self._stack / c
-            x[0] = 0
-            one = np.zeros_like(x)
-            one[0] = 1
-            series = _binomial_series(_BareStack(x, n), alpha, _BareStack(one, n),
-                                      _BareStack.entrywise, tol)
-            return ZeonMatrix._from_stack(series.stack * power, n, tol)
-        ones = ZeonMatrix._wrap(((ZeonElement.one(n),) * self.cols,) * self.rows, n)
-        series = _binomial_series(self.dual()._entrywise(1 / c, tol), alpha, ones,
-                                  ZeonMatrix._entrywise, tol)
-        return series._entrywise(power, tol)
+        x = self._stack / c
+        x[0] = 0
+        one = np.zeros_like(x)
+        one[0] = 1
+        series = _binomial_series(_BareStack(x, n), alpha, _BareStack(one, n),
+                                  _BareStack.entrywise, tol)
+        return ZeonMatrix._from_stack(series.stack * power, n, tol)
 
     def _map(self, on_stack, on_element) -> "ZeonMatrix":
         # Internal: an entrywise map that keeps every magnitude, so a pruned
@@ -750,12 +756,8 @@ def _working_stack(matrix: ZeonMatrix) -> np.ndarray | None:
     if matrix._stack is not None:
         return matrix._stack.copy()
     entries = matrix.entries
-
-    def pairs():
-        return (sum(len(row[0].terms) for row in entries[1:])
-                * sum(len(e.terms) for e in entries[0]))
-
-    if _use_stack(matrix.n, (matrix.rows - 1) * matrix.cols, pairs):
+    if _use_stack(matrix.n, (matrix.rows - 1) * matrix.cols,
+                  lambda: _stored_pairs([row[:1] for row in entries[1:]], entries[:1])):
         return _stack_of(entries, matrix.n)
     return None
 
@@ -806,11 +808,12 @@ def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationRepor
 
     Each pivot step adds a multiple of the pivot row to every row below
     it whose entry in the pivot column holds terms, and records that as
-    an axpy RowOp. The steps run on a private copy of the (2^n, m, ncols)
-    coefficient stack, one rank-one update per pivot, when the matrix
-    holds a stack or _use_stack would put the first update on stacks
-    (see _working_stack); otherwise on a grid of elements, one element
-    product per entry. Both forms choose the same pivots, barring ties
+    an axpy RowOp; a pivot in the last row has no rows below, so its
+    step and pivot inverse are skipped. The steps run on a private copy
+    of the (2^n, m, ncols) coefficient stack, one rank-one update per
+    pivot, when the matrix holds a stack or _use_stack would put the
+    first update on stacks (see _working_stack); otherwise on a grid of
+    elements, one element product per entry. Both forms choose the same pivots, barring ties
     within rounding, and agree to rounding. On the stack, ``upper``
     holds that stack and builds its entries when read. The input matrix
     is never changed.
@@ -842,9 +845,10 @@ def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationRepor
                 rows[pr], rows[best] = rows[best], rows[pr]
             ops.append(RowOp("swap", pr, best))
             det_factor = det_factor.scale(-1)
-        factors = (_clear_below_on_stack(stack, pr, col, n, tol) if rows is None
-                   else _clear_below_on_elements(rows, pr, col, tol))
-        ops.extend(RowOp("axpy", pr, r, factor) for r, factor in factors)
+        if pr + 1 < m:  # the last pivot has no rows below it to clear
+            factors = (_clear_below_on_stack(stack, pr, col, n, tol) if rows is None
+                       else _clear_below_on_elements(rows, pr, col, tol))
+            ops.extend(RowOp("axpy", pr, r, factor) for r, factor in factors)
         pivots.append((pr, col))
         pr += 1
     upper = ZeonMatrix._from_stack(stack, n, None) if rows is None else ZeonMatrix(rows)
@@ -867,6 +871,8 @@ _PERM_CACHE: dict[int, list] = {}
 
 
 def _det_permutation(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
+    """Signed sum over permutations; _det_elimination takes it for the
+    nilpotent block, which has no pivot, and tests take it as an oracle."""
     m = matrix.rows
     if m not in _PERM_CACHE:
         _PERM_CACHE[m] = _signed_permutations(m)
@@ -878,12 +884,10 @@ def _det_permutation(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
             if not term.terms:
                 break
         if term.terms:
-            acc = acc.add(term.scale(sign), tol)
+            # not scaled by the sign: that complex product turns an overflowed
+            # inf + NaN j into NaN + NaN j, which the prune drops as if zero
+            acc = acc.add(term, tol) if sign > 0 else acc.sub(term, tol)
     return acc
-
-
-# Largest size on which determinant takes the permutation sum; elimination above.
-_DET_PERMUTATION_MAX = 4
 
 
 def _det_elimination(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
@@ -916,10 +920,8 @@ def _det_elimination(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
 
 
 def determinant(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonElement:
-    """Determinant over the algebra; both of its algorithms are exact."""
+    """Determinant over the algebra, read off elimination (_det_elimination) at every size."""
     matrix._require_square("determinant")
-    if matrix.rows <= _DET_PERMUTATION_MAX:
-        return _det_permutation(matrix, tol)
     return _det_elimination(matrix, tol)
 
 

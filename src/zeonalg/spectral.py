@@ -222,15 +222,10 @@ def _refine(matrix: ZeonMatrix, tol: Tolerances):
         raise SpectralSimplicityError(
             f"shadow spectrum is not simple ({desc}); no unique decomposition")
 
-    def scalar(array):  # held where A is, so every product runs on the stacks
-        if matrix._on_stack():
-            stack = np.zeros((1 << n, *array.shape), complex)
-            stack[0] = array
-            return ZeonMatrix._from_stack(stack, n, tol)
-        return ZeonMatrix.from_scalar_matrix(array, n, tol)
-
-    x, two = scalar(vectors), scalar(np.full((m, m), 2.0))
-    w = scalar((1 - np.eye(m)) / (values[None, :] - values[:, None] + np.eye(m)))
+    x = ZeonMatrix.from_scalar_matrix(vectors, n, tol)
+    two = ZeonMatrix.from_scalar_matrix(np.full((m, m), 2.0), n, tol)
+    w = ZeonMatrix.from_scalar_matrix(
+        (1 - np.eye(m)) / (values[None, :] - values[:, None] + np.eye(m)), n, tol)
     eye = ZeonMatrix.identity(m, n)
     diagonal, lower = list(range(m)), list(range(m, 2 * m))
     # A X rides along as the lower half of Z = [X; A X], so one product
@@ -257,25 +252,26 @@ def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> Spectra
 
     All m eigenpairs come from one refinement of the shadow eigenbasis
     (_refine), which also decides simplicity, in a fixed n.bit_length() + 1
-    passes. Eigenvector j is X[:, j] X[f, j]^-1 with f where column j's
-    shadow is largest, so its coordinate f is 1. All m are normalized at
-    once; _verified checks the frame it returns. chi_A feeds two checks only.
+    passes. X-adjoint X = I, so with f where column j's shadow is largest,
+    one -1/2 power p_j = (X_fj conj(X_fj))^(-1/2) = |X_fj|^-1 gives the normalized
+    v_j = X_j conj(X_fj) p_j, its coordinate f real with a positive shadow, and
+    the raw v_j p_j = X_j X_fj^-1. _verified checks the frame it returns;
+    chi_A feeds two checks only.
     """
     matrix._require_square("spectral decomposition")
     # char_poly's products put A on its stack where the dispatch picks one,
-    # so the self-adjointness test and the refinement run there too
+    # so the self-adjointness test runs there too
     chi, cayley_hamilton = _char_poly(matrix, tol)
     if not matrix.is_self_adjoint(tol):
         raise NotSelfAdjointError("matrix is not self-adjoint within tolerance")
     lam, x = _refine(matrix, tol)
     diagonal, first = list(range(matrix.rows)), [0] * matrix.rows
     free = np.argmax(np.abs(x.scalar_matrix()), axis=0).tolist()
-    pivots = x._gather(free, diagonal)._entrywise_power(-1, tol)         # X_fj^-1 in column j
-    raw = x._entrywise(pivots._block(first, diagonal), tol)
-    # <raw_j, raw_j> is the diagonal of raw-adjoint raw; column j is scaled by its -1/2 power
-    scales = raw.adjoint().mul(raw, tol)._gather(diagonal, diagonal)._entrywise_power(-0.5, tol)
-    return _verified(matrix, chi, cayley_hamilton, lam, raw,
-                     raw._entrywise(scales._block(first, diagonal), tol), tol)
+    pivots = x._gather(free, diagonal).conjugate()                       # conj(X_fj) in column j
+    scales = pivots._entrywise(pivots.conjugate(), tol)._entrywise_power(-0.5, tol)   # p_j
+    frame = x._entrywise(pivots._entrywise(scales, tol)._block(first, diagonal), tol)
+    raw = frame._entrywise(scales._block(first, diagonal), tol)
+    return _verified(matrix, chi, cayley_hamilton, lam, raw, frame, tol)
 
 
 def _verified(matrix: ZeonMatrix, chi: ZeonPolynomial, cayley_hamilton: float, lam: ZeonMatrix,

@@ -248,6 +248,13 @@ class TestMatrixCommands:
         blob = json.loads(out)
         assert blob["error"] == "non_finite"
 
+    def test_overflowed_determinant_exits_2(self):
+        # 1e200 ** 3 overflows on the diagonal: an error, not a zero determinant
+        a = ZeonMatrix.diagonal([ZeonElement.scalar(1, 1e200)] * 3)
+        code, out, _ = run_cli("det", stdin_text=json.dumps(a.to_json()))
+        assert code == 2
+        assert json.loads(out)["error"] == "non_finite"
+
     def test_eliminate_report(self):
         code, out, _ = run_cli("eliminate", fixture("mat_det_example.json"))
         assert code == 0
@@ -335,7 +342,7 @@ class TestPrettyGolden:
     @pytest.mark.parametrize("command, name, exit_code", [
         (command, name, 2 if (command, name) == ("spectral", "mat_det_example") else 0)
         for name in ("mat_spectral", "mat_det_example")
-        for command in ("eigen", "spectral", "charpoly", "det", "eliminate")] + [
+        for command in ("eigen", "spectral", "charpoly", "det", "eliminate", "matinv")] + [
         # 5 x 5: determinant by elimination; the dense one eliminates on the stack
         (command, name, 0)
         for name in ("mat_dense5_n3", "mat_sparse5_n3")

@@ -447,12 +447,29 @@ class TestDeterminant:
             assert _det_permutation(a, DEFAULT).allclose(want)
             assert _det_elimination(a, DEFAULT).allclose(want)
 
-    def test_size_picks_the_algorithm(self):
+    def test_elimination_at_every_size(self):
+        # determinant is _det_elimination bit for bit; up to m = 4 it also
+        # agrees to rounding with the permutation sum and the dense oracle
         rng = random.Random(153)
+        cases = [rand_matrix(rng, m, 3, kind="invertible") for m in range(1, 7)]
         for m in range(1, 7):
-            a = rand_matrix(rng, m, 3, kind="invertible")
-            want = _det_permutation(a, DEFAULT) if m <= 4 else _det_elimination(a, DEFAULT)
-            assert determinant(a).terms == want.terms
+            columns = rng.sample(range(m), rng.randint(1, m))
+            cases.append(_with_nilpotent_lines(rng, m, 3, columns, nilpotent_row=m % 2 == 0))
+        for a in cases:
+            got = determinant(a)
+            assert got.terms == _det_elimination(a, DEFAULT).terms
+            if a.rows <= 4:
+                for want in (_det_permutation(a, DEFAULT), from_dense(dense_perm_det(a), a.n)):
+                    assert got.max_diff(want) <= 1e-12 * max(1.0, want.norm_inf())
+
+    def test_permutation_sum_keeps_an_overflow(self):
+        # 1e200^3 overflows to inf + NaN j; the sum must keep it, not turn it
+        # into NaN + NaN j by scaling with the sign and then prune it away
+        big, z = ZeonElement.scalar(1, 1e200), ZeonElement.zero(1)
+        for rows in ([[big, z, z], [z, big, z], [z, z, big]],
+                     [[z, big, z], [big, z, z], [z, z, big]]):  # an odd permutation
+            det = _det_permutation(ZeonMatrix(rows), DEFAULT)
+            assert math.isinf(abs(det.scalar_part()))
 
     def test_multiplicative(self):
         rng = random.Random(157)
@@ -662,6 +679,17 @@ def blade_counts(n):
 
 
 class TestCoefficientStack:
+    @pytest.mark.parametrize("n", [0, 3, 8, 9])
+    def test_scalar_matrix_embedding(self, n):
+        # a stack up to n = 8 and a grid above, holding the same scalar
+        # entries; a coefficient below the prune tolerance is dropped in both
+        array = np.array([[1 + 2j, 0], [1e-20, -3], [0.5j, 4]])
+        a = ZeonMatrix.from_scalar_matrix(array, n)
+        assert on_stack(a) == (n <= 8)
+        assert (a.rows, a.cols, a.n) == (3, 2, n)
+        want = [[ZeonElement.scalar(n, c).terms for c in row] for row in array.tolist()]
+        assert [[e.terms for e in row] for row in a.entries] == want
+
     @pytest.mark.parametrize("n", range(9))
     def test_products_match_dense_oracle(self, n, forced_path):
         rng = random.Random(600 + n)

@@ -156,6 +156,37 @@ def test_entrywise_inverse_square_root_matches_element_powers(n, dense):
                 assert_close(g, u._power(-0.5))
 
 
+@pytest.mark.parametrize("n", [0, 3, 5, 8, 9])
+@pytest.mark.parametrize("alpha", [-1, -0.5])
+def test_entrywise_power_forms_agree(n, alpha):
+    # a grid takes ZeonElement._power entry by entry, a stack (n <= 8) sums the
+    # series on its bare arrays: the two agree, and above n = 8 the grid is the
+    # element power itself
+    grid, forms = entrywise_forms(random.Random(960 + n), n, n <= 5)
+    got = [a._entrywise_power(alpha, DEFAULT) for a in forms]
+    assert got[0]._stack is None
+    for row, got_row in zip(grid.entries, got[0].entries):
+        for u, g in zip(row, got_row):
+            assert g.terms == u._power(alpha).terms
+    for stacked in got[1:]:
+        assert stacked._stack is not None
+        for row, stacked_row in zip(got[0].entries, stacked.entries):
+            for g, s in zip(row, stacked_row):
+                assert_close(s, g)
+
+
+@pytest.mark.parametrize("n", [2, 9])
+def test_entrywise_power_rejects_a_nilpotent_entry_in_both_forms(n):
+    grid = ZeonMatrix([[ZeonElement.one(n), ZeonElement.generator(n, 1)]])
+    forms = [grid]
+    if n <= 8:
+        forms.append(ZeonMatrix._from_stack(ZeonMatrix(grid.entries)._coeffs().copy(), n, DEFAULT))
+    for a in forms:
+        for alpha in (-1, -0.5):
+            with pytest.raises(SingularityError):
+                a._entrywise_power(alpha, DEFAULT)
+
+
 def test_entrywise_inverse_rejects_a_nilpotent_entry():
     a = ZeonMatrix([[ZeonElement.one(2), ZeonElement(2, {0b01: 1.0})]])
     with pytest.raises(SingularityError):

@@ -513,9 +513,9 @@ class TestRefinement:
         monkeypatch.setattr(spectral, "complex_roots", refuse)
         assert len(spectral_decompose(spectral_matrix).eigenpairs) == 3
 
-    def test_two_entrywise_powers_per_decomposition(self, monkeypatch, spectral_matrix):
-        # the refinement sums no series: the only powers are the pivots' -1
-        # and the normalization's -1/2
+    def test_one_entrywise_power_per_decomposition(self, monkeypatch, spectral_matrix):
+        # the refinement sums no series, and one -1/2 power, |X_fj|^-1, gives
+        # both the normalized and the raw eigenvectors
         alphas = []
         power = ZeonMatrix._entrywise_power
 
@@ -525,7 +525,7 @@ class TestRefinement:
 
         monkeypatch.setattr(ZeonMatrix, "_entrywise_power", spy)
         spectral_decompose(spectral_matrix)
-        assert alphas == [-1, -0.5]
+        assert alphas == [-0.5]
 
     @pytest.mark.parametrize("part", ["frame", "values"])
     def test_frame_gate_raises(self, monkeypatch, spectral_matrix, part):
