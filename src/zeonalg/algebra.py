@@ -134,6 +134,12 @@ def _operator_matmul(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (operator.reshape(size * r, width) @ y.reshape(width, c)).reshape(size, r, c)
 
 
+def _kept(terms: Iterable[tuple[int, complex]], prune: float) -> dict[int, complex]:
+    """The one prune rule of elements: keep the (mask, coefficient) pairs with
+    |c| >= prune, so NaN is dropped and infinities are kept."""
+    return {mask: c for mask, c in terms if abs(c) >= prune}
+
+
 def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],
                prune: float) -> dict[int, complex]:
     """Blade-convolution product on 2^n coefficient arrays, pruned below prune.
@@ -147,7 +153,7 @@ def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],
     y = np.zeros(size, complex)
     y[np.fromiter(b, np.intp, len(b))] = np.fromiter(b.values(), complex, len(b))
     out = _convolve(n, x, y, np.multiply)
-    return {k: c for k, c in enumerate(out.tolist()) if abs(c) >= prune}
+    return _kept(enumerate(out.tolist()), prune)
 
 
 def _dict_mul(a: Mapping[int, complex], b: Mapping[int, complex]) -> dict[int, complex]:
@@ -194,6 +200,15 @@ def _format_real(x: float, sig: int) -> str:
     return s
 
 
+def _signed_sum(parts: list[tuple[bool, str]]) -> str:
+    """Join (negative, body) terms as ``a - b + c``; a negative first term gets a bare minus."""
+    neg, body = parts[0]
+    out = ("-" if neg else "") + body
+    for neg, body in parts[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
 class ZeonElement:
     """One element of the n-generator complex zeon algebra.
 
@@ -209,19 +224,16 @@ class ZeonElement:
         n = int(n)
         if not 0 <= n <= MAX_GENERATORS:
             raise ValueError(f"generator count must be in 0..{MAX_GENERATORS}, got {n}")
-        pruned: dict[int, complex] = {}
+        checked: dict[int, complex] = {}
         if terms:
             limit = 1 << n
-            prune = tol.prune
             for mask, coeff in terms.items():
                 mask = int(mask)
                 if not 0 <= mask < limit:
                     raise ValueError(f"blade mask {mask} outside algebra with n={n}")
-                c = complex(coeff)
-                if abs(c) >= prune:
-                    pruned[mask] = c
+                checked[mask] = complex(coeff)
         self.n = n
-        self.terms = pruned
+        self.terms = _kept(checked.items(), tol.prune)
 
     @classmethod
     def _wrap(cls, n: int, terms: dict[int, complex]) -> "ZeonElement":
@@ -233,16 +245,11 @@ class ZeonElement:
 
     @classmethod
     def _pruned(cls, n: int, terms: Mapping[int, complex], prune: float) -> "ZeonElement":
-        # Internal: canonical form of complex terms whose masks are valid,
-        # by the rule of __init__ (NaN dropped, infinities kept) but without
-        # re-checking masks or coercing values that arithmetic made.
-        kept: dict[int, complex] = {}
-        for mask, c in terms.items():
-            if abs(c) >= prune:
-                kept[mask] = c
+        # Internal: canonical form (_kept) of complex terms whose masks are
+        # valid, without re-checking masks or coercing values that arithmetic made.
         obj = cls.__new__(cls)
         obj.n = n
-        obj.terms = kept
+        obj.terms = _kept(terms.items(), prune)
         return obj
 
     # ------------------------------------------------------------------
@@ -310,13 +317,8 @@ class ZeonElement:
 
     def scale(self, value: complex, tol: Tolerances = DEFAULT) -> "ZeonElement":
         c = complex(value)
-        prune = tol.prune
-        kept: dict[int, complex] = {}
-        for mask, v in self.terms.items():
-            p = v * c
-            if abs(p) >= prune:
-                kept[mask] = p
-        return ZeonElement._wrap(self.n, kept)
+        scaled = zip(self.terms, [v * c for v in self.terms.values()])
+        return ZeonElement._wrap(self.n, _kept(scaled, tol.prune))
 
     def mul(self, other: "ZeonElement", tol: Tolerances = DEFAULT) -> "ZeonElement":
         """Blade-convolution product; disjoint masks merge, overlapping die.
@@ -424,7 +426,7 @@ class ZeonElement:
         exp(alpha log c).
         """
         c = self.scalar_part()
-        if abs(c) <= tol.scalar_zero:
+        if not self.is_invertible(tol):
             raise SingularityError(
                 f"scalar part {c:.3g} is within scalar-zero tolerance; not invertible")
         x = self.dual_part().scale(1 / c, tol)
@@ -441,7 +443,7 @@ class ZeonElement:
         k = int(k)
         if k < 1:
             raise ZeonError("root order must be a positive integer")
-        if abs(self.scalar_part()) <= tol.scalar_zero:
+        if not self.is_invertible(tol):
             raise SingularityError("kth root requires an invertible element")
         if k == 1:
             return self
@@ -449,7 +451,7 @@ class ZeonElement:
 
     def nilpotency_index(self, tol: Tolerances = DEFAULT) -> int:
         """Least kappa with u^kappa = 0; defined only for nilpotent u."""
-        if abs(self.scalar_part()) > tol.scalar_zero:
+        if self.is_invertible(tol):
             raise ZeonError("nilpotency index is defined only for nilpotent elements")
         kappa = 1
         power = self
@@ -548,11 +550,7 @@ class ZeonElement:
                     num = f"{_format_real(re, sig)}{im:+.{sig}g}j"
                 body = f"({num})*{blade}" if blade else f"({num})"
             parts.append((neg, body))
-        neg, body = parts[0]
-        out = ("-" if neg else "") + body
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        return _signed_sum(parts)
 
     def to_json(self) -> dict:
         """JSON-ready dict: {"n": ..., "terms": [{"I": [...], "re": ..., "im": ...}]}."""

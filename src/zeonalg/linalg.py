@@ -10,6 +10,7 @@ many pivots it found.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
@@ -195,7 +196,7 @@ def spectral_seminorm(x: ZeonVector, tol: Tolerances = DEFAULT) -> float:
 def normalize(x: ZeonVector, tol: Tolerances = DEFAULT) -> ZeonVector:
     """Scale x by the principal square root of <x, x> inverse."""
     s = inner_product(x, x, tol)
-    if abs(s.scalar_part()) <= tol.scalar_zero:
+    if not s.is_invertible(tol):
         raise SingularityError(
             "cannot normalize a null vector: <x, x> has zero scalar part")
     return x.scale(s._power(-0.5, tol), tol)
@@ -241,8 +242,8 @@ def _stack_of(entries: Sequence[Sequence[ZeonElement]], n: int) -> np.ndarray:
 
 
 def _prune(stack: np.ndarray, tol: Tolerances) -> None:
-    """Zero, in place, every coefficient below tol.prune, by the rule of
-    ZeonElement.__init__: NaN is dropped, infinities are kept."""
+    """Zero, in place, every coefficient below tol.prune, by the element
+    rule (algebra._kept): NaN is dropped, infinities are kept."""
     stack[~(np.abs(stack) >= tol.prune)] = 0
 
 
@@ -403,9 +404,7 @@ class ZeonMatrix:
                 raise DimensionMismatch(
                     f"operands live in different algebras: n={n} vs n={value.n}")
             if self._on_stack():
-                factor = _stack_of(((value,),), n)
-                return ZeonMatrix._from_stack(
-                    _convolve(n, self._stack, factor, np.multiply), n, tol)
+                return self._entrywise(ZeonMatrix._wrap(((value,),), n), tol)
             return ZeonMatrix([[e.mul(value, tol) for e in row] for row in self.entries])
         if self._on_stack():
             return ZeonMatrix._from_stack(self._stack * complex(value), n, tol)
@@ -494,8 +493,9 @@ class ZeonMatrix:
         return ZeonMatrix._wrap((tuple(entries[i][j] for i, j in zip(rows, cols)),), self.n)
 
     def _entrywise(self, other, tol: Tolerances) -> "ZeonMatrix":
-        # Internal: the entrywise product with a matrix of the same shape, or
-        # with a complex array of that shape, which scales each entry.
+        # Internal: the entrywise product with a matrix of the same shape (on a
+        # stack, also a 1 x 1 one, which broadcasts), or with a complex array of
+        # that shape, which scales each entry.
         n = self.n
         if isinstance(other, np.ndarray):
             if self._on_stack():
@@ -858,26 +858,22 @@ def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationRepor
 # ----------------------------------------------------------------------
 # determinant and inverse
 
-def _signed_permutations(m: int):
+@functools.cache
+def _signed_permutations(m: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     perms = []
     for perm in itertools.permutations(range(m)):
         inversions = sum(1 for a in range(m) for b in range(a + 1, m)
                          if perm[a] > perm[b])
         perms.append((perm, -1 if inversions & 1 else 1))
-    return perms
-
-
-_PERM_CACHE: dict[int, list] = {}
+    return tuple(perms)
 
 
 def _det_permutation(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
     """Signed sum over permutations; _det_elimination takes it for the
     nilpotent block, which has no pivot, and tests take it as an oracle."""
     m = matrix.rows
-    if m not in _PERM_CACHE:
-        _PERM_CACHE[m] = _signed_permutations(m)
     acc = ZeonElement.zero(matrix.n)
-    for perm, sign in _PERM_CACHE[m]:
+    for perm, sign in _signed_permutations(m):
         term = ZeonElement.one(matrix.n)
         for i in range(m):
             term = term.mul(matrix.entries[i][perm[i]], tol)

@@ -11,11 +11,12 @@ instead of guessed.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
-from .algebra import ZeonElement
+from .algebra import ZeonElement, _signed_sum
 from .errors import (DimensionMismatch, DoesNotSplitError, NonConvergenceError,
                      ParseError, PolyDivisionError, SpectralSimplicityError,
                      ZeonError)
@@ -106,14 +107,7 @@ class ZeonPolynomial:
 
     def add(self, other: "ZeonPolynomial", tol: Tolerances = DEFAULT) -> "ZeonPolynomial":
         self._require_same_n(other)
-        size = max(len(self.coeffs), len(other.coeffs))
-        zero = ZeonElement.zero(self.n)
-        out = []
-        for i in range(size):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            out.append(a.add(b, tol))
-        return ZeonPolynomial(out, tol)
+        return ZeonPolynomial([a.add(b, tol) for a, b in self._by_degree(other)], tol)
 
     def sub(self, other: "ZeonPolynomial", tol: Tolerances = DEFAULT) -> "ZeonPolynomial":
         return self.add(other.scale(-1, tol), tol)
@@ -148,17 +142,15 @@ class ZeonPolynomial:
         if self.n != other.n:
             raise DimensionMismatch("polynomials live in different algebras")
 
+    def _by_degree(self, other: "ZeonPolynomial"):
+        """Coefficient pairs of equal degree, the shorter polynomial padded with zeros."""
+        zero = ZeonElement.zero(self.n)
+        return itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=zero)
+
     def allclose(self, other: "ZeonPolynomial", tol: Tolerances = DEFAULT) -> bool:
         if not isinstance(other, ZeonPolynomial) or self.n != other.n:
             return False
-        size = max(len(self.coeffs), len(other.coeffs))
-        zero = ZeonElement.zero(self.n)
-        for i in range(size):
-            a = self.coeffs[i] if i < len(self.coeffs) else zero
-            b = other.coeffs[i] if i < len(other.coeffs) else zero
-            if not a.allclose(b, tol):
-                return False
-        return True
+        return all(a.allclose(b, tol) for a, b in self._by_degree(other))
 
     def __eq__(self, other):
         if not isinstance(other, ZeonPolynomial):
@@ -223,11 +215,7 @@ class ZeonPolynomial:
             if var:
                 body = var if body == "1" else f"{body}*{var}"
             parts.append((neg, body))
-        neg, body = parts[0]
-        out = ("-" if neg else "") + body
-        for neg, body in parts[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+        return _signed_sum(parts)
 
     def __repr__(self) -> str:
         return f"<ZeonPolynomial degree={self.degree} n={self.n}: {self.pretty(6)}>"
@@ -342,6 +330,17 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
+def _shadow_zero(f: ComplexPolynomial, df: ComplexPolynomial, z: complex) -> tuple[bool, bool]:
+    """The shadow-zero test: is z a zero of f, and does f' clear the simplicity floor at z.
+
+    z is a zero when |f(z)| <= 1e-6 (1 + max |f_k|), and a simple zero when
+    moreover |f'(z)| > _SIMPLE_REL (1 + max |f_k|). df is f.derivative(),
+    built once per polynomial by the caller.
+    """
+    scale = 1.0 + max(map(abs, f.coeffs))
+    return abs(f(z)) <= 1e-6 * scale, abs(df(z)) > _SIMPLE_REL * scale
+
+
 def _cluster_report(points: list[complex], monic: ComplexPolynomial,
                     iterations: int) -> RootReport:
     """Merge converged iterates into roots with multiplicities.
@@ -353,7 +352,6 @@ def _cluster_report(points: list[complex], monic: ComplexPolynomial,
     wider radius.
     """
     d = len(points)
-    scale = max(abs(c) for c in monic.coeffs)
     dmonic = monic.derivative()
     uf = _UnionFind(d)
     for a in range(d):
@@ -371,9 +369,8 @@ def _cluster_report(points: list[complex], monic: ComplexPolynomial,
     comps = components()
     means = {root: sum(points[i] for i in members) / len(members)
              for root, members in comps.items()}
-    simple_floor = _SIMPLE_REL * (1.0 + scale)
     degenerate = [root for root, mean in means.items()
-                  if abs(dmonic(mean)) <= simple_floor]
+                  if not _shadow_zero(monic, dmonic, mean)[1]]
     for a_i in range(len(degenerate)):
         for b_i in range(a_i + 1, len(degenerate)):
             za, zb = means[degenerate[a_i]], means[degenerate[b_i]]
@@ -386,7 +383,7 @@ def _cluster_report(points: list[complex], monic: ComplexPolynomial,
     for members in comps.values():
         value = sum(points[i] for i in members) / len(members)
         mult = len(members)
-        simple = mult == 1 and abs(dmonic(value)) > simple_floor
+        simple = mult == 1 and _shadow_zero(monic, dmonic, value)[1]
         residual = max(residual, abs(monic(value)))
         roots.append(PolyRoot(value, mult, simple))
     roots.sort(key=lambda r: (-r.value.real, -r.value.imag))
@@ -493,10 +490,10 @@ def lift_simple_zero(phi: ZeonPolynomial, lam0: complex,
                      tol: Tolerances = DEFAULT) -> ZeonElement:
     """Lift a simple zero of the complex shadow to a zeon zero.
 
-    With g the shadow deflated by its zero lam0, the minimal-grade
+    With f the shadow of the monic polynomial, the minimal-grade
     component of phi(lam) determines the next correction:
 
-        lam <- lam - <phi(lam)>_k / g(lam0)
+        lam <- lam - <phi(lam)>_k / f'(lam0)
 
     In exact arithmetic each pass clears grade k, so at most n passes
     land on the exact zero. In floating point, rounding residue can
@@ -506,8 +503,8 @@ def lift_simple_zero(phi: ZeonPolynomial, lam0: complex,
     coefficient magnitude of the monic polynomial. Otherwise
     NonConvergenceError is raised, with the unfinished lift as its
     report. (The scalar part of phi(lam) is f(lam0), which the shadow-zero
-    test bounds on entry.) The correction divisor g(lam0) is nonzero
-    exactly because the zero is simple.
+    test, _shadow_zero, bounds on entry.) The correction divisor f'(lam0)
+    is nonzero exactly because the zero is simple.
     """
     lead = phi.leading
     if not lead.is_invertible(tol):
@@ -517,13 +514,14 @@ def lift_simple_zero(phi: ZeonPolynomial, lam0: complex,
     if f.degree < 1:
         raise ZeonError("cannot lift zeros of a constant polynomial")
     lam0 = complex(lam0)
-    scale = max(abs(c) for c in f.coeffs)
-    if abs(f(lam0)) > 1e-6 * (1.0 + scale):
+    df = f.derivative()
+    zero, simple = _shadow_zero(f, df, lam0)
+    if not zero:
         raise ZeonError(f"{_fmt_c(lam0)} is not a zero of the complex shadow")
-    g0 = f.deflate(lam0)(lam0)
-    if abs(g0) <= _SIMPLE_REL * (1.0 + scale):
+    if not simple:
         raise SpectralSimplicityError(
             f"shadow zero {_fmt_c(lam0)} is not simple; it does not lift uniquely")
+    slope = df(lam0)
     n = phi.n
     lam = ZeonElement.scalar(n, lam0, tol)
     dual = monic.evaluate(lam, tol).dual_part()
@@ -533,7 +531,7 @@ def lift_simple_zero(phi: ZeonPolynomial, lam0: complex,
         grade = dual.min_grade()
         if not prev_grade < grade <= n:
             break
-        lam = lam.sub(dual.grade_part(grade).scale(1 / g0, tol), tol)
+        lam = lam.sub(dual.grade_part(grade).scale(1 / slope, tol), tol)
         dual = monic.evaluate(lam, tol).dual_part()
         prev_grade = grade
     coeff_scale = max(c.norm_inf() for c in monic.coeffs)
@@ -574,11 +572,10 @@ def multiple_zero_family(phi: ZeonPolynomial, zero: ZeonElement, shift: complex,
     if value.norm_inf() > tol.compare * (1.0 + scale):
         raise ZeonError("the given element is not a zero of the polynomial")
     f = induce_complex(phi, tol)
-    c0 = zero.scalar_part()
-    fscale = max(abs(c) for c in f.coeffs)
-    if abs(f(c0)) > 1e-6 * (1.0 + fscale):
+    shadow_zero, simple = _shadow_zero(f, f.derivative(), zero.scalar_part())
+    if not shadow_zero:
         raise ZeonError("scalar part is not a zero of the complex shadow")
-    if abs(f.derivative()(c0)) > _SIMPLE_REL * (1.0 + fscale):
+    if simple:
         raise ZeonError(
             "scalar part is a simple shadow zero; the top-blade family needs a multiple zero")
     return zero.add(ZeonElement.top_blade(phi.n, shift), tol)

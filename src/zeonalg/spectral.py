@@ -279,7 +279,7 @@ def _verified(matrix: ZeonMatrix, chi: ZeonPolynomial, cayley_hamilton: float, l
     """Decomposition with values lam, raw vectors and normalized frame V, checked on V.
 
     Raises NonConvergenceError, with the decomposition as its report, when
-    V-adjoint V - I or V Lambda V-adjoint - A over max(1, |A|) exceeds tol.compare * m.
+    either check it gates on, "orthonormal" or "reconstruction", exceeds tol.compare * m.
     """
     m, n = matrix.rows, matrix.n
     diagonal = list(range(m))
@@ -305,7 +305,7 @@ def _verified(matrix: ZeonMatrix, chi: ZeonPolynomial, cayley_hamilton: float, l
         "char_zero": _char_zero(chi, lam, tol),
     }
     result = SpectralDecomposition(pairs, tuple(outer(v, v, tol) for v in normalized), checks)
-    defect = max(checks["orthonormal"], misfit / max(1.0, matrix.norm_inf()))
+    defect = max(checks["orthonormal"], checks["reconstruction"])
     if defect > tol.compare * m:
         raise NonConvergenceError(
             f"the refined eigenvector frame is off by {defect:.3g}; no decomposition returned",

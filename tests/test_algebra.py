@@ -215,6 +215,30 @@ class TestUnvalidatedArithmetic:
             assert a.sub(b, tol).terms.keys() == {
                 m for m in a.terms if nudge[m % 3] >= tol.prune}
 
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_construction_prunes_by_the_arithmetic_rule(self, tol):
+        # the constructor checks and coerces masks, then prunes exactly as
+        # _pruned does: NaN dropped, infinities kept, |c| = prune kept
+        bound = tol.prune
+        below = math.nextafter(bound, 0.0)
+        kept = {1: True, -2.5: True, bound: True, -bound: True, 1j * bound: True,
+                below: False, -1j * below: False, 0.0: False, math.nan: False,
+                complex(0, math.nan): False, math.inf: True, -math.inf: True,
+                complex(math.nan, math.inf): True, complex(-math.inf, math.nan): True}
+        for n in (4, 9):
+            rng = random.Random(480 + n)
+            masks = rng.sample(range(1 << n), len(kept))
+            raw = dict(zip(masks, kept))
+            got = ZeonElement(n, raw, tol)
+            want = ZeonElement._pruned(n, {m: complex(c) for m, c in raw.items()}, tol.prune)
+            assert bits(got.terms) == bits(want.terms)
+            assert set(got.terms) == {m for m, c in zip(masks, kept) if kept[c]}
+            # a bad mask is rejected even when its coefficient would be pruned
+            for mask in (-1, 1 << n):
+                for value in (0.0, math.nan, below):
+                    with pytest.raises(ValueError, match="outside algebra"):
+                        ZeonElement(n, {**raw, mask: value}, tol)
+
     def test_scale_by_nan_and_inf(self):
         rng = random.Random(470)
         a = ZeonElement(4, random_terms(rng, 4, 16))

@@ -733,6 +733,8 @@ class TestCoefficientStack:
                     dense_factor = (to_dense(factor) if isinstance(factor, ZeonElement)
                                     else to_dense(ZeonElement.scalar(n, factor)))
                     assert_matches(got, [[dense_mul(p, dense_factor) for p in r] for r in da])
+                    # on a stack, the 1 x 1 entrywise product gives the grid's element products
+                    assert_matches(got, dense_grid(forms(a)[0].scale(factor)))
                 # numpy's complex abs may differ from Python's in the last bit
                 want = max(abs(c) for r in da for p in r for c in p)
                 assert forms(a)[i].norm_inf() == pytest.approx(want, rel=1e-15, abs=0)

@@ -15,6 +15,7 @@ from zeonalg import (
     NonConvergenceError,
     PolyDivisionError,
     SpectralSimplicityError,
+    Tolerances,
     ZeonElement,
     ZeonError,
     ZeonPolynomial,
@@ -331,6 +332,65 @@ class TestLiftSimpleZero:
         phi = base.scale(lead)
         lam = lift_simple_zero(phi, 2.0)
         assert lam.allclose(Z(2, {0: 2, 1: 0.5}))
+
+
+def floor_case(kind, inside, lead, monic_floor):
+    """lead * g on n = 2, its shadow at 0 just inside or just outside one floor.
+
+    kind "zero": g = u^2 + c, so f(0) = lead * c meets the zero floor;
+    kind "simple": g = u^3 - s u, a zero at 0 with f'(0) = -lead * s meeting the
+    simplicity floor. The floor is that of the monic g when monic_floor (the
+    shadow complex_roots and lift_simple_zero test), else that of lead * g
+    (the one multiple_zero_family tests).
+    """
+    rel = 1e-6 if kind == "zero" else poly._SIMPLE_REL
+    top = 1 if monic_floor else lead            # max |f_k|, since c, s << 1
+    value = rel * (1 + top) / top * (1 - 1e-6 if inside else 1 + 1e-6)
+    g = [value, 0, 1] if kind == "zero" else [0, -value, 0, 1]
+    return ZeonPolynomial.from_scalars(2, [lead * c for c in g])
+
+
+class TestShadowZeroTest:
+    """complex_roots, lift_simple_zero and multiple_zero_family share one
+    shadow-zero test: each decides as _shadow_zero does on its own shadow."""
+
+    @pytest.mark.parametrize("lead", [1, 4])
+    @pytest.mark.parametrize("inside", [True, False])
+    @pytest.mark.parametrize("kind", ["zero", "simple"])
+    def test_decisions_at_the_floors(self, kind, inside, lead):
+        # inside the zero floor means a zero; inside the simplicity floor, not simple
+        zero = inside or kind == "simple"
+        simple = kind == "simple" and not inside
+
+        phi = floor_case(kind, inside, lead, monic_floor=True)
+        f = induce_complex(phi).monic()
+        assert poly._shadow_zero(f, f.derivative(), 0j) == (zero, simple)
+        if kind == "simple":
+            nearest = min(complex_roots(phi).roots, key=lambda r: abs(r.value))
+            assert (nearest.multiplicity, nearest.simple) == (1, simple)
+        if not zero:
+            with pytest.raises(ZeonError, match="not a zero of the complex shadow"):
+                lift_simple_zero(phi, 0)
+        elif not simple:
+            with pytest.raises(SpectralSimplicityError):
+                lift_simple_zero(phi, 0)
+        else:
+            assert lift_simple_zero(phi, 0) == ZeonElement.zero(2)
+
+        # a looser compare lets a shadow value of 1e-6 past the zeon zero check
+        tol = Tolerances(compare=1e-5)
+        phi = floor_case(kind, inside, lead, monic_floor=False)
+        f = induce_complex(phi, tol)
+        assert poly._shadow_zero(f, f.derivative(), 0j) == (zero, simple)
+        if not zero:
+            with pytest.raises(ZeonError, match="not a zero of the complex shadow"):
+                multiple_zero_family(phi, ZeonElement.zero(2), 1.0, tol)
+        elif simple:
+            with pytest.raises(ZeonError, match="simple shadow zero"):
+                multiple_zero_family(phi, ZeonElement.zero(2), 1.0, tol)
+        else:
+            got = multiple_zero_family(phi, ZeonElement.zero(2), 1.0, tol)
+            assert got == ZeonElement.top_blade(2, 1.0)
 
 
 class TestSplit:

@@ -527,11 +527,18 @@ class TestRefinement:
         spectral_decompose(spectral_matrix)
         assert alphas == [-0.5]
 
-    @pytest.mark.parametrize("part", ["frame", "values"])
-    def test_frame_gate_raises(self, monkeypatch, spectral_matrix, part):
-        # a frame or eigenvalues off by 1e-6 must not be returned as a decomposition
+    @pytest.mark.parametrize("part, scale, size", [
+        pytest.param("frame", 1.0, 1e-6, id="frame"),
+        pytest.param("values", 1.0, 1e-6, id="values"),
+        # |A| = 1e-3: a misfit of 1e-10 is 1e-7 of A, so the gate reads the
+        # reported reconstruction, not the misfit over max(1, |A|)
+        pytest.param("values", 2e-4, 1e-10, id="values-small-matrix"),
+    ])
+    def test_frame_gate_raises(self, monkeypatch, spectral_matrix, part, scale, size):
+        # a nudged frame or nudged eigenvalues must not be returned as a decomposition
+        spectral_matrix = spectral_matrix.scale(scale)
         refine = spectral._refine
-        nudge = Z(3, {0b011: 1e-6})
+        nudge = Z(3, {0b011: size})
 
         def nudged(matrix, tol):
             lam, x = refine(matrix, tol)
