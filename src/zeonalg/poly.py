@@ -16,6 +16,7 @@ import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
+from ._numpy import np
 from .algebra import ZeonElement, _signed_sum
 from .errors import (DimensionMismatch, DoesNotSplitError, NonConvergenceError,
                      ParseError, PolyDivisionError, SpectralSimplicityError,
@@ -28,6 +29,25 @@ _STEP_TOL = 1e-14
 _CLUSTER_REL = 1e-6       # first-pass merge radius for root clusters
 _WIDE_CLUSTER_REL = 1e-3  # second pass, only for derivative-degenerate clusters
 _SIMPLE_REL = 1e-8        # |f'(root)| above this (scaled) counts as simple
+# A lift forms its residual on the Taylor table (_TaylorTable) when the monic
+# polynomial's table, (degree + 1) x |S| cells for S the union of its stored
+# blades, has at least _TABLE_MIN_CELLS cells, and by element Horner otherwise.
+# A table residual costs about 0.1 ms of fixed numpy overhead; Horner costs
+# degree element products, each visiting every stored pair. The rule is the
+# crossover of lifting every zero both ways (table build included) on planted
+# polynomials of degree 2..8 over n = 2..16, generator-class roots and roots
+# with 2 or 4 random blades: Horner was faster on every one below 85 cells,
+# the two within 10% from 85 to 155, and the table faster on every one from
+# 175 cells on (1.2-1.7x up to 250, 2-5x at 340-900, 4-10x at 4599), timed
+# in-process on one pinned vCPU of a 2-vCPU Xeon VM. Element Horner also
+# stays as the numpy-free path: `zeon polyzero` on a small polynomial must not
+# load numpy (tests/test_cold_start.py, test_command_leaves_numpy_unloaded),
+# and it decides a lift that stops on the table (_Lifter.lift). Both
+# split_sparse classes lie above the crossover; no benchmark workload lifts
+# below it.
+_TABLE_MIN_CELLS = 160
+# Largest |S| x |T| block of blade pairs a table residual forms at once.
+_PAIR_BLOCK = 1 << 16
 
 
 def _fmt_c(value: complex) -> str:
@@ -486,6 +506,188 @@ def poly_divide(phi: ZeonPolynomial, psi: ZeonPolynomial,
     return ZeonPolynomial(quot, tol), ZeonPolynomial(remainder, tol)
 
 
+class _Residual:
+    """Nilpotent part of a table residual, held as blade arrays.
+
+    Answers min_grade, grade_part and norm_inf as the dual part of an
+    element would, so the lift loop reads either form.
+    """
+
+    __slots__ = ("n", "masks", "grades", "values")
+
+    def __init__(self, n: int, masks: np.ndarray, grades: np.ndarray, values: np.ndarray):
+        self.n, self.masks, self.grades, self.values = n, masks, grades, values
+
+    def min_grade(self) -> int:
+        return int(self.grades.min()) if len(self.grades) else self.n + 1
+
+    def grade_part(self, k: int) -> ZeonElement:
+        keep = self.grades == k
+        return ZeonElement._wrap(self.n, dict(zip(self.masks[keep].tolist(),
+                                                  self.values[keep].tolist())))
+
+    def norm_inf(self) -> float:
+        return float(np.abs(self.values).max(initial=0.0))
+
+
+def _blade_table(elements: Sequence[ZeonElement],
+                 support: list[int]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elements as the rows of one complex array over their blade union.
+
+    support is that union, ascending; returns it as int64 masks, their
+    grades, and the len(elements) x len(support) array.
+    """
+    masks = np.array(support, np.int64)
+    table = np.zeros((len(elements), len(support)), complex)
+    for row, e in zip(table, elements):
+        count = len(e.terms)
+        row[np.searchsorted(masks, np.fromiter(e.terms, np.int64, count))] = \
+            np.fromiter(e.terms.values(), complex, count)
+    return masks, np.array([m.bit_count() for m in support], np.int64), table
+
+
+def _support(elements: Iterable[ZeonElement]) -> list[int]:
+    """Ascending union of the blades the elements store."""
+    return sorted(set().union(*(e.terms for e in elements)))
+
+
+def _sum_by_mask(masks: np.ndarray, grades: np.ndarray,
+                 values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One entry per distinct mask, its values summed; masks must be non-empty."""
+    order = np.argsort(masks, kind="stable")
+    masks = masks[order]
+    starts = np.flatnonzero(np.concatenate(([True], masks[1:] != masks[:-1])))
+    return masks[starts], grades[order[starts]], np.add.reduceat(values[order], starts)
+
+
+class _TaylorTable:
+    """A monic polynomial as one (degree + 1) x |S| coefficient array.
+
+    S is the union of the blades its coefficients store, held as ascending
+    int64 masks with their grades; row k holds coefficient k on S.
+    """
+
+    def __init__(self, monic: ZeonPolynomial, support: list[int]):
+        self.masks, self.grades, self.coeffs = _blade_table(monic.coeffs, support)
+
+    def taylor_rows(self, base: complex) -> np.ndarray:
+        """Rows T_j = phi^(j)(base) / j!, by repeated synthetic division by (u - base)."""
+        rows = self.coeffs.copy()
+        d = len(rows) - 1
+        for j in range(d):
+            for k in range(d - 1, j - 1, -1):
+                rows[k] += base * rows[k + 1]
+        return rows
+
+    def residual(self, rows: np.ndarray, delta: ZeonElement, tol: Tolerances) -> _Residual:
+        """Nilpotent part of phi(base + delta) = sum_j T_j delta^j, rows from taylor_rows.
+
+        The powers delta^j, up to the last nonzero one, are small elements;
+        with T their blade union the residual is one (|S| x J)(J x |T|)
+        product, scattered onto s | t for disjoint pairs (s, t) with the
+        duplicates summed. Column blocks of the powers keep the pair block
+        under _PAIR_BLOCK cells. Pruned by the element rule, |c| >= tol.prune.
+        """
+        powers = [ZeonElement.one(delta.n)]
+        power = delta
+        while power.terms and len(powers) < len(rows):
+            powers.append(power)
+            power = power.mul(delta, tol)
+        masks, grades, table = _blade_table(powers, _support(powers))
+        left = rows[:len(powers)].T
+        width = max(1, _PAIR_BLOCK // len(self.masks))
+        # every column pairs with the scalar blade of S (coefficient d is 1),
+        # so no block is empty
+        blocks = []
+        for start in range(0, len(masks), width):
+            cols = slice(start, start + width)
+            disjoint = (self.masks[:, None] & masks[None, cols]) == 0
+            blocks.append(_sum_by_mask((self.masks[:, None] | masks[None, cols])[disjoint],
+                                       (self.grades[:, None] + grades[None, cols])[disjoint],
+                                       (left @ table[:, cols])[disjoint]))
+        out_masks, out_grades, values = blocks[0] if len(blocks) == 1 else _sum_by_mask(
+            *(np.concatenate(parts) for parts in zip(*blocks)))
+        keep = (out_masks != 0) & (np.abs(values) >= tol.prune)
+        return _Residual(delta.n, out_masks[keep], out_grades[keep], values[keep])
+
+
+class _Lifter:
+    """What lifting the zeros of one polynomial shares.
+
+    The monic polynomial, its shadow f and f', the coefficient scale and,
+    for a large polynomial, its Taylor table; built once, then lift runs
+    per shadow zero. Nothing is cached on the polynomial itself.
+    """
+
+    def __init__(self, phi: ZeonPolynomial, tol: Tolerances):
+        if not phi.leading.is_invertible(tol):
+            raise PolyDivisionError("leading coefficient must be invertible to lift zeros")
+        self.monic = monic = phi.monic(tol)
+        self.f = induce_complex(monic, tol)
+        if self.f.degree < 1:
+            raise ZeonError("cannot lift zeros of a constant polynomial")
+        self.df = self.f.derivative()
+        self.coeff_scale = max(c.norm_inf() for c in monic.coeffs)
+        self.tol = tol
+        support = _support(monic.coeffs)
+        self.table = (_TaylorTable(monic, support)
+                      if len(monic.coeffs) * len(support) >= _TABLE_MIN_CELLS else None)
+
+    def _horner(self, lam: ZeonElement) -> ZeonElement:
+        """Nilpotent part of monic(lam) by element Horner."""
+        return self.monic.evaluate(lam, self.tol).dual_part()
+
+    def lift(self, lam0: complex) -> ZeonElement:
+        """The zeon zero above the simple shadow zero lam0; see lift_simple_zero.
+
+        A lift that stops on the table is run again by element Horner, whose
+        outcome stands: the stop rule can see rounding residue that Horner's
+        prune after every product removes, so a table-only lift would refuse
+        zeros that Horner lifts.
+        """
+        lam0 = complex(lam0)
+        zero, simple = _shadow_zero(self.f, self.df, lam0)
+        if not zero:
+            raise ZeonError(f"{_fmt_c(lam0)} is not a zero of the complex shadow")
+        if not simple:
+            raise SpectralSimplicityError(
+                f"shadow zero {_fmt_c(lam0)} is not simple; it does not lift uniquely")
+        start = ZeonElement.scalar(self.monic.n, lam0, self.tol)
+        if self.table is not None:
+            rows = self.table.taylor_rows(start.scalar_part())
+            try:
+                return self._lift(lam0, start, lambda lam: self.table.residual(
+                    rows, lam.dual_part(), self.tol))
+            except NonConvergenceError:
+                pass
+        return self._lift(lam0, start, self._horner)
+
+    def _lift(self, lam0: complex, lam: ZeonElement, residual) -> ZeonElement:
+        """The pass loop and final gate, starting at lam = lam0.
+
+        residual(lam) returns the nilpotent part of monic(lam).
+        """
+        tol = self.tol
+        slope = self.df(lam0)
+        n = self.monic.n
+        dual = residual(lam)
+        prev_grade = 0
+        # dual is always the nilpotent part of the residual of the current lam.
+        for _ in range(n + 1):
+            grade = dual.min_grade()
+            if not prev_grade < grade <= n:
+                break
+            lam = lam.sub(dual.grade_part(grade).scale(1 / slope, tol), tol)
+            dual = residual(lam)
+            prev_grade = grade
+        if dual.norm_inf() > tol.compare * self.f.degree * self.coeff_scale:
+            raise NonConvergenceError(
+                f"lift of shadow zero {_fmt_c(lam0)} stopped with residual "
+                f"{dual.norm_inf():.3g} against coefficient scale {self.coeff_scale:.3g}",
+                report=lam)
+        return lam
+
+
 def lift_simple_zero(phi: ZeonPolynomial, lam0: complex,
                      tol: Tolerances = DEFAULT) -> ZeonElement:
     """Lift a simple zero of the complex shadow to a zeon zero.
@@ -505,48 +707,27 @@ def lift_simple_zero(phi: ZeonPolynomial, lam0: complex,
     report. (The scalar part of phi(lam) is f(lam0), which the shadow-zero
     test, _shadow_zero, bounds on entry.) The correction divisor f'(lam0)
     is nonzero exactly because the zero is simple.
+
+    With lam = lam0 + delta, the residual is phi(lam0 + delta) =
+    sum_j T_j delta^j for the Taylor rows T_j = phi^(j)(lam0) / j!. When the
+    monic polynomial's coefficient table, (degree + 1) x |S| for S the union
+    of its stored blades, has at least _TABLE_MIN_CELLS cells, the rows come
+    from that table once per zero and each pass is one array product;
+    smaller polynomials take element Horner, monic.evaluate(lam), without
+    numpy. A lift that stops on the table runs again by element Horner,
+    so the outcome is Horner's whenever the table's is a refusal. This
+    builds the monic polynomial, shadow and table for its one zero; split
+    and spectral.eigenvalues build them once for all zeros.
     """
-    lead = phi.leading
-    if not lead.is_invertible(tol):
-        raise PolyDivisionError("leading coefficient must be invertible to lift zeros")
-    monic = phi.monic(tol)
-    f = induce_complex(monic, tol)
-    if f.degree < 1:
-        raise ZeonError("cannot lift zeros of a constant polynomial")
-    lam0 = complex(lam0)
-    df = f.derivative()
-    zero, simple = _shadow_zero(f, df, lam0)
-    if not zero:
-        raise ZeonError(f"{_fmt_c(lam0)} is not a zero of the complex shadow")
-    if not simple:
-        raise SpectralSimplicityError(
-            f"shadow zero {_fmt_c(lam0)} is not simple; it does not lift uniquely")
-    slope = df(lam0)
-    n = phi.n
-    lam = ZeonElement.scalar(n, lam0, tol)
-    dual = monic.evaluate(lam, tol).dual_part()
-    prev_grade = 0
-    # dual is always the nilpotent part of the residual of the current lam.
-    for _ in range(n + 1):
-        grade = dual.min_grade()
-        if not prev_grade < grade <= n:
-            break
-        lam = lam.sub(dual.grade_part(grade).scale(1 / slope, tol), tol)
-        dual = monic.evaluate(lam, tol).dual_part()
-        prev_grade = grade
-    coeff_scale = max(c.norm_inf() for c in monic.coeffs)
-    if dual.norm_inf() > tol.compare * f.degree * coeff_scale:
-        raise NonConvergenceError(
-            f"lift of shadow zero {_fmt_c(lam0)} stopped with residual "
-            f"{dual.norm_inf():.3g} against coefficient scale {coeff_scale:.3g}",
-            report=lam)
-    return lam
+    return _Lifter(phi, tol).lift(lam0)
 
 
 def split(phi: ZeonPolynomial, tol: Tolerances = DEFAULT) -> list[ZeonElement]:
     """All zeon zeros of phi, when the complex shadow has only simple zeros.
 
-    Raises DoesNotSplitError naming the offending zeros otherwise.
+    Raises DoesNotSplitError naming the offending zeros otherwise, before
+    anything is lifted. The zeros are lifted as lift_simple_zero does, from
+    one shared monic polynomial, shadow and Taylor table.
     """
     report = complex_roots(phi, tol)
     bad = [(r.value, r.multiplicity) for r in report.roots if not r.simple]
@@ -554,7 +735,8 @@ def split(phi: ZeonPolynomial, tol: Tolerances = DEFAULT) -> list[ZeonElement]:
         desc = ", ".join(f"{_fmt_c(v)} (multiplicity {m})" for v, m in bad)
         raise DoesNotSplitError(
             f"shadow polynomial has non-simple zeros: {desc}", bad)
-    return [lift_simple_zero(phi, r.value, tol) for r in report.roots]
+    lifter = _Lifter(phi, tol)
+    return [lifter.lift(r.value) for r in report.roots]
 
 
 def multiple_zero_family(phi: ZeonPolynomial, zero: ZeonElement, shift: complex,

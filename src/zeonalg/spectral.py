@@ -18,7 +18,7 @@ from .algebra import ZeonElement
 from .errors import (DimensionMismatch, NonConvergenceError, NotSelfAdjointError,
                      SpectralSimplicityError, ZeonError)
 from .linalg import ZeonMatrix, ZeonVector, _hstack, _shadow_rank, mat_inverse, outer
-from .poly import ZeonPolynomial, complex_roots, lift_simple_zero
+from .poly import ZeonPolynomial, _Lifter, complex_roots
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -70,10 +70,13 @@ def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonEleme
     Ordered by descending real part of the scalar part (ties broken by
     descending imaginary part). Shadow eigenvalues with multiplicity
     above one do not lift; the list is then shorter than the dimension.
+    Each zero of chi_A lifts as lift_simple_zero does, from one monic
+    polynomial, shadow and Taylor table built for chi_A.
     """
     chi = char_poly(matrix, tol)
-    return [lift_simple_zero(chi, root.value, tol)
-            for root in complex_roots(chi, tol).roots if root.simple]
+    roots = complex_roots(chi, tol).roots
+    lifter = _Lifter(chi, tol)
+    return [lifter.lift(root.value) for root in roots if root.simple]
 
 
 def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVector:

@@ -295,3 +295,21 @@ def orthonormality_residual(vectors) -> float:
     n = vectors[0].n
     return max(inner_product(vk, vj).max_diff(ZeonElement.scalar(n, float(j == k)))
                for j, vj in enumerate(vectors) for k, vk in enumerate(vectors))
+
+
+def generator_roots(n: int, degree: int, gens: list[int], shared: int) -> list[ZeonElement]:
+    """Planted zeros r_k = c_k + a_k z_{gens[k]} + b_k z_shared, k = 0..degree-1.
+
+    Generator-class roots: each on its own generator plus one shared by all,
+    with shadows c_k spaced 1 apart and descending in real part, so every
+    shadow zero is simple and split returns the roots in this order.
+    """
+    return [ZeonElement(n, {0: complex(degree / 2 - 0.5 - k, 0.25 * (-1) ** k),
+                            1 << (gens[k] - 1): complex(0.5 + 0.1 * k, -0.2),
+                            1 << (shared - 1): complex(0.05 * k - 0.3, 0.1)})
+            for k in range(degree)]
+
+
+def split_n16_roots() -> list[ZeonElement]:
+    """The planted zeros of fixtures/poly_split_n16.json, in split's order."""
+    return generator_roots(16, 8, [1, 3, 5, 7, 9, 11, 13, 15], 16)

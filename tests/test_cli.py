@@ -15,6 +15,8 @@ from zeonalg import (
     inner_product,
 )
 
+from oracles import split_n16_roots
+
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
@@ -201,6 +203,16 @@ class TestPolyCommands:
         assert code == 0
         blob = json.loads(out)
         assert len(blob["zeros"]) == 2
+
+    def test_split_returns_planted_n16_zeros(self):
+        # 9 x 511 table cells, so the zeros lift on the Taylor table
+        code, out, _ = run_cli("split", fixture("poly_split_n16.json"))
+        assert code == 0
+        zeros = [ZeonElement.from_json(z) for z in json.loads(out)["zeros"]]
+        roots = split_n16_roots()
+        assert len(zeros) == len(roots)
+        for got, want in zip(zeros, roots):
+            assert got.max_diff(want) <= 1e-10 * want.norm_inf()
 
     def test_split_failure_exits_2(self):
         code, out, _ = run_cli("split", fixture("poly_nonsplit.json"))
@@ -400,6 +412,7 @@ class TestFixtureRoundTrips:
         "mat_sparse5_n3.json",
         "poly_quartic.json",
         "poly_nonsplit.json",
+        "poly_split_n16.json",
         "polydiv_pair.json",
     ])
     def test_parse_print_reparse(self, name):

@@ -64,6 +64,14 @@ def test_dense_elimination_loads_numpy(command):
     assert numpy_loaded
 
 
+def test_table_lift_loads_numpy():
+    # poly_split_n16.json's monic polynomial has a 9 x 511 coefficient table,
+    # past poly._TABLE_MIN_CELLS, so split lifts its zeros on the Taylor table
+    code, numpy_loaded = run_python(CLI, "split", str(FIXTURES / "poly_split_n16.json"))
+    assert code == 0
+    assert numpy_loaded
+
+
 def test_import_leaves_numpy_unloaded():
     assert run_python("""
         import json, sys

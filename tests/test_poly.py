@@ -27,9 +27,11 @@ from zeonalg import (
     split,
 )
 
-from oracles import dense_mul, dense_one, rand_element, sequential_lift, to_dense
+from oracles import (dense_mul, dense_one, generator_roots, rand_element, sequential_lift,
+                     split_n16_roots, to_dense)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+TOLS = (poly.DEFAULT, Tolerances(prune=1e-6, compare=1e-6))
 
 
 def load_fixture(name):
@@ -51,6 +53,21 @@ def nonsplit():
 def s_element():
     """The dual element z12 + z13 + z14 used by the quartic fixture."""
     return Z(4, {0b0011: 1, 0b0101: 1, 0b1001: 1})
+
+
+def random_blade_poly(seed):
+    """Degree 8 over 16 generators, each root carrying ten random blades."""
+    rng = random.Random(seed)
+    degree, n = 8, 16
+    roots = []
+    for k in range(degree):
+        terms = {0: complex(-3.5 + k + rng.uniform(-0.2, 0.2), rng.uniform(-0.5, 0.5))}
+        for _ in range(10):
+            mask = rng.randrange(1, 1 << n)
+            terms[mask] = terms.get(mask, 0j) + complex(rng.uniform(-1, 1),
+                                                        rng.uniform(-1, 1))
+        roots.append(Z(n, terms))
+    return ZeonPolynomial.from_roots(roots)
 
 
 class TestEvaluation:
@@ -425,20 +442,10 @@ class TestSplit:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_random_blade_roots_lift_or_raise(self, seed):
-        # Degree 8 over 16 generators, each root carrying ten random blades.
         # The grade-by-grade lift can stop early on rounding residue; split
         # must then raise instead of returning an unfinished zero.
-        rng = random.Random(seed)
-        degree, n = 8, 16
-        roots = []
-        for k in range(degree):
-            terms = {0: complex(-3.5 + k + rng.uniform(-0.2, 0.2), rng.uniform(-0.5, 0.5))}
-            for _ in range(10):
-                mask = rng.randrange(1, 1 << n)
-                terms[mask] = terms.get(mask, 0j) + complex(rng.uniform(-1, 1),
-                                                            rng.uniform(-1, 1))
-            roots.append(Z(n, terms))
-        phi = ZeonPolynomial.from_roots(roots)
+        phi = random_blade_poly(seed)
+        degree = phi.degree
         scale = max(c.norm_inf() for c in phi.coeffs)
         try:
             zeros = split(phi)
@@ -559,3 +566,202 @@ class TestPolySerialization:
         p = ZeonPolynomial.from_scalars(2, [3, 0, 1])
         text = p.pretty()
         assert "u^2" in text and "3" in text
+
+
+def table_form(monkeypatch, on):
+    """Make every lift run on the Taylor table (on) or by element Horner."""
+    monkeypatch.setattr(poly, "_TABLE_MIN_CELLS", 0 if on else math.inf)
+
+
+def form_poly(n):
+    """A polynomial on n generators for the form-agreement tests.
+
+    n = 3 takes eight roots with random nilpotent parts, shadows 3.5 - k
+    +- 0.3j, on which the table alone stops at one zero that Horner lifts;
+    larger n four generator-class roots on the top generators, so n = 63
+    uses the top int64 mask bits, two of them also carrying a grade-2 or
+    grade-3 blade.
+    The polynomial is scaled by an invertible non-unit lead, so the lift
+    works on its monic form.
+    """
+    rng = random.Random(n)
+    if n == 3:
+        roots = [ZeonElement.scalar(n, complex(3.5 - k, 0.3 * (-1) ** k)).add(
+            rand_element(rng, n, 3, "nilpotent")) for k in range(8)]
+    else:
+        roots = generator_roots(n, 4, list(range(n - 4, n)), n)
+        roots[0] = roots[0].add(ZeonElement.blade(n, [n - 1, n], 0.7 - 0.2j))
+        roots[1] = roots[1].add(ZeonElement.blade(n, [n - 4, n - 2, n], -0.4 + 0.5j))
+    lead = ZeonElement(n, {0: 1.5 - 0.5j, 1 << (n - 1): 0.25})
+    return ZeonPolynomial.from_roots(roots).scale(lead)
+
+
+def split_n16():
+    return ZeonPolynomial.from_json(load_fixture("poly_split_n16.json"))
+
+
+def lift_outcomes(phi, tol):
+    """Each simple shadow zero's lift through one shared lifter, or the exception it raised."""
+    lifter = poly._Lifter(phi, tol)
+    outcomes = []
+    for root in complex_roots(phi, tol).roots:
+        try:
+            outcomes.append(lifter.lift(root.value))
+        except ZeonError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def residual_terms(residual):
+    return dict(zip(residual.masks.tolist(), residual.values.tolist()))
+
+
+def assert_same_outcomes(element, table):
+    """Zero by zero: the same zeros within 1e-12 relative, or the same
+    exception with the same message and unfinished lifts within 1e-12."""
+    assert len(element) == len(table)
+    for a, b in zip(element, table):
+        assert type(a) is type(b)
+        if isinstance(a, ZeonError):
+            assert str(a) == str(b)
+            a, b = getattr(a, "report", None), getattr(b, "report", None)
+            if not isinstance(a, ZeonElement):
+                continue
+        assert a.max_diff(b) <= 1e-12 * a.norm_inf()
+
+
+class TestTaylorTableLift:
+    """The Taylor table and element Horner are two forms of one residual."""
+
+    @pytest.mark.parametrize("tol", TOLS, ids=["default", "loose"])
+    @pytest.mark.parametrize("n", [3, 9, 16, 40, 63, "fixture"])
+    def test_forms_agree(self, monkeypatch, n, tol):
+        phi = split_n16() if n == "fixture" else form_poly(n)
+        n = phi.n
+        table_form(monkeypatch, False)
+        element = lift_outcomes(phi, tol)
+        table_form(monkeypatch, True)
+        table = lift_outcomes(phi, tol)
+        assert_same_outcomes(element, table)
+        scale = max(c.norm_inf() for c in phi.coeffs)
+        for z in table:
+            if isinstance(z, ZeonElement):
+                assert phi.evaluate(z, tol).norm_inf() <= tol.compare * phi.degree * scale
+
+        # the residual at the lifted zeros and at partial lifts of them. Either
+        # form rounds at about eps sum_k |a_k| |lam0|^k, Horner's error scale,
+        # which is the coefficient scale for |lam0| <= 1 and 3.5^8 times it
+        # at the fixture's outermost zero; a failed lift is checked at the
+        # unfinished lift it reports
+        lifter = poly._Lifter(phi, tol)
+        norms = [c.norm_inf() for c in lifter.monic.coeffs]
+        for z in table:
+            z = getattr(z, "report", z)
+            base = z.scalar_part()
+            rows = lifter.table.taylor_rows(base)
+            bound = 1e-12 * poly._abs_horner(norms, max(1.0, abs(base)))
+            for top in (1, 2, n):
+                delta = ZeonElement._wrap(n, {m: c for m, c in z.terms.items()
+                                              if 0 < m.bit_count() <= top})
+                lam = ZeonElement.scalar(n, base).add(delta)
+                got = lifter.table.residual(rows, delta, tol)
+                want = lifter.monic.evaluate(lam, tol).dual_part()
+                assert got.grades.tolist() == [m.bit_count() for m in got.masks.tolist()]
+                assert want.max_diff(ZeonElement._wrap(n, residual_terms(got))) <= bound
+
+    def test_pair_block_over_many_chunks(self, monkeypatch):
+        phi = split_n16()
+        lifter = poly._Lifter(phi, poly.DEFAULT)
+        zeros = split(phi)
+        delta = zeros[3].dual_part().add(ZeonElement.blade(16, [2, 4], 0.3))
+        rows = lifter.table.taylor_rows(zeros[3].scalar_part())
+        one_block = lifter.table.residual(rows, delta, poly.DEFAULT)
+        # |S| = 511 blades, so a block of 1000 pairs holds one column of the powers
+        assert len(lifter.table.masks) == 511
+        monkeypatch.setattr(poly, "_PAIR_BLOCK", 1000)
+        chunked = lifter.table.residual(rows, delta, poly.DEFAULT)
+        got, want = residual_terms(chunked), residual_terms(one_block)
+        assert got.keys() == want.keys()
+        assert max(abs(got[m] - want[m]) for m in got) <= 1e-12 * lifter.coeff_scale
+        assert_same_outcomes(zeros, split(phi))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_blade_failures_agree(self, monkeypatch, seed):
+        phi = random_blade_poly(seed)
+        for tol in TOLS:
+            table_form(monkeypatch, False)
+            element = lift_outcomes(phi, tol)
+            table_form(monkeypatch, True)
+            assert_same_outcomes(element, lift_outcomes(phi, tol))
+        reports = []
+        for on in (False, True):
+            table_form(monkeypatch, on)
+            with pytest.raises(NonConvergenceError) as info:
+                split(phi)
+            reports.append((str(info.value), info.value.report))
+        (element_message, element_lift), (table_message, table_lift) = reports
+        assert element_message == table_message
+        assert element_lift.max_diff(table_lift) <= 1e-12 * element_lift.norm_inf()
+
+    @pytest.mark.parametrize("phi, index", [(random_blade_poly(3), 1), (form_poly(3), 6)],
+                             ids=["random-blade-3", "form-3"])
+    def test_stopped_table_lift_is_retried_by_horner(self, monkeypatch, phi, index):
+        # rounding residue left on the table stops the lift early at this
+        # zero, where Horner's prune after each product clears it
+        lam0 = complex_roots(phi).roots[index].value
+        table_form(monkeypatch, True)
+        lifter = poly._Lifter(phi, poly.DEFAULT)
+        rows = lifter.table.taylor_rows(lam0)
+        with pytest.raises(NonConvergenceError):
+            lifter._lift(lam0, ZeonElement.scalar(phi.n, lam0),
+                         lambda lam: lifter.table.residual(rows, lam.dual_part(), poly.DEFAULT))
+        lifted = lifter.lift(lam0)
+        table_form(monkeypatch, False)
+        assert lifted == lift_simple_zero(phi, lam0)
+
+    def test_crossover_puts_benchmark_sizes_on_the_table(self):
+        # 9 x 511 cells for generator-class roots, 9 x 91 for random blades;
+        # the worked quartic (5 x 4) stays on element Horner
+        assert poly._Lifter(split_n16(), poly.DEFAULT).table is not None
+        assert poly._Lifter(random_blade_poly(0), poly.DEFAULT).table is not None
+        assert poly._Lifter(quartic(), poly.DEFAULT).table is None
+
+    def test_fixture_is_the_planted_product(self):
+        phi = split_n16()
+        assert (phi.n, phi.degree) == (16, 8)
+        assert phi.allclose(ZeonPolynomial.from_roots(split_n16_roots()))
+
+
+class TestLiftErrorOrder:
+    def test_non_simple_shadow_refused_before_any_table(self, monkeypatch):
+        table_form(monkeypatch, True)
+
+        def no_table(*args):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(poly, "_TaylorTable", no_table)
+        with pytest.raises(DoesNotSplitError):
+            split(nonsplit())
+
+    def test_nilpotent_lead_refused_after_root_finding(self):
+        n = 2
+        # shadow (u - 1)(u - 2), lead z1
+        phi = ZeonPolynomial([Z(n, {0: 2}), Z(n, {0: -3}), Z(n, {0: 1}), Z(n, {1: 1})])
+        message = "leading coefficient must be invertible to lift zeros"
+        with pytest.raises(PolyDivisionError, match=message):
+            split(phi)
+        with pytest.raises(PolyDivisionError, match=message):
+            lift_simple_zero(phi, 1.0)
+        # a non-simple shadow is found first
+        double = ZeonPolynomial([Z(n, {0: 1}), Z(n, {0: -2}), Z(n, {0: 1}), Z(n, {1: 1})])
+        with pytest.raises(DoesNotSplitError):
+            split(double)
+
+    @pytest.mark.parametrize("on", [False, True], ids=["element", "table"])
+    def test_lift_refusals_unchanged(self, monkeypatch, on):
+        table_form(monkeypatch, on)
+        with pytest.raises(ZeonError, match=r"^2 is not a zero of the complex shadow$"):
+            lift_simple_zero(quartic(), 2.0)
+        with pytest.raises(SpectralSimplicityError,
+                           match=r"^shadow zero 1 is not simple; it does not lift uniquely$"):
+            lift_simple_zero(nonsplit(), 1.0)

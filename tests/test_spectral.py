@@ -508,7 +508,7 @@ class TestRefinement:
         def refuse(*args, **kwargs):
             raise AssertionError("spectral_decompose must not call this")
 
-        monkeypatch.setattr(spectral, "lift_simple_zero", refuse)
+        monkeypatch.setattr(spectral, "_Lifter", refuse)
         monkeypatch.setattr(spectral, "eigenvector", refuse)
         monkeypatch.setattr(spectral, "complex_roots", refuse)
         assert len(spectral_decompose(spectral_matrix).eigenpairs) == 3
