@@ -287,12 +287,6 @@ class ZeonElement:
             return cls.scalar(0, coeff, tol)
         return cls(n, {(1 << n) - 1: coeff}, tol)
 
-    @classmethod
-    def from_indices(cls, n: int, mapping: Mapping[tuple, complex],
-                     tol: Tolerances = DEFAULT) -> "ZeonElement":
-        """Build from {index tuple: coefficient}, e.g. {(): 5, (1, 2, 3): -4}."""
-        return cls(n, {mask_from_indices(ix, n): c for ix, c in mapping.items()}, tol)
-
     # ------------------------------------------------------------------
     # ring operations
 
@@ -395,12 +389,6 @@ class ZeonElement:
 
     def is_zero(self, tol: Tolerances = DEFAULT) -> bool:
         return self.norm_inf() <= tol.compare
-
-    def is_scalar(self, tol: Tolerances = DEFAULT) -> bool:
-        return self.dual_part().norm_inf() <= tol.compare
-
-    def is_real(self, tol: Tolerances = DEFAULT) -> bool:
-        return all(abs(c.imag) <= tol.compare for c in self.terms.values())
 
     def is_invertible(self, tol: Tolerances = DEFAULT) -> bool:
         return abs(self.scalar_part()) > tol.scalar_zero

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import os
 import sys
 
 from .algebra import ZeonElement
@@ -273,7 +274,15 @@ def main(argv=None) -> int:
 
 
 def run_main() -> None:
-    sys.exit(main())
+    """Runs main; a reader that closed stdout makes it exit 1 silently, like an unwritable -o."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; point it at devnull so that is silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -543,9 +543,6 @@ class ZeonMatrix:
             return float(np.abs(self._stack).max())
         return max(e.norm_inf() for row in self.entries for e in row)
 
-    def is_zero(self, tol: Tolerances = DEFAULT) -> bool:
-        return self.norm_inf() <= tol.compare
-
     def is_self_adjoint(self, tol: Tolerances = DEFAULT) -> bool:
         if not self.is_square:
             return False

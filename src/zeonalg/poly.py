@@ -65,7 +65,7 @@ class ZeonPolynomial:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[ZeonElement], tol: Tolerances = DEFAULT):
+    def __init__(self, coeffs: Iterable[ZeonElement]):
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
@@ -83,7 +83,7 @@ class ZeonPolynomial:
     @classmethod
     def from_scalars(cls, n: int, values: Iterable[complex],
                      tol: Tolerances = DEFAULT) -> "ZeonPolynomial":
-        return cls([ZeonElement.scalar(n, v, tol) for v in values], tol)
+        return cls([ZeonElement.scalar(n, v, tol) for v in values])
 
     @classmethod
     def from_roots(cls, roots: Sequence[ZeonElement],
@@ -127,7 +127,7 @@ class ZeonPolynomial:
 
     def add(self, other: "ZeonPolynomial", tol: Tolerances = DEFAULT) -> "ZeonPolynomial":
         self._require_same_n(other)
-        return ZeonPolynomial([a.add(b, tol) for a, b in self._by_degree(other)], tol)
+        return ZeonPolynomial([a.add(b, tol) for a, b in self._by_degree(other)])
 
     def sub(self, other: "ZeonPolynomial", tol: Tolerances = DEFAULT) -> "ZeonPolynomial":
         return self.add(other.scale(-1, tol), tol)
@@ -142,12 +142,12 @@ class ZeonPolynomial:
                 if not b.terms:
                     continue
                 out[i + j] = out[i + j].add(a.mul(b, tol), tol)
-        return ZeonPolynomial(out, tol)
+        return ZeonPolynomial(out)
 
     def scale(self, value, tol: Tolerances = DEFAULT) -> "ZeonPolynomial":
         if isinstance(value, ZeonElement):
-            return ZeonPolynomial([c.mul(value, tol) for c in self.coeffs], tol)
-        return ZeonPolynomial([c.scale(value, tol) for c in self.coeffs], tol)
+            return ZeonPolynomial([c.mul(value, tol) for c in self.coeffs])
+        return ZeonPolynomial([c.scale(value, tol) for c in self.coeffs])
 
     def monic(self, tol: Tolerances = DEFAULT) -> "ZeonPolynomial":
         lead = self.leading
@@ -212,7 +212,7 @@ class ZeonPolynomial:
             if elem.n != n:
                 raise ParseError(f"coefficient algebra n={elem.n} disagrees with n={n}")
             coeffs.append(elem)
-        return cls(coeffs, tol)
+        return cls(coeffs)
 
     def pretty(self, sig: int = 12) -> str:
         if all(not c.terms for c in self.coeffs):
@@ -273,17 +273,6 @@ class ComplexPolynomial:
     def monic(self) -> "ComplexPolynomial":
         lead = self.coeffs[-1]
         return ComplexPolynomial([c / lead for c in self.coeffs])
-
-    def deflate(self, root: complex) -> "ComplexPolynomial":
-        """Synthetic division by (z - root), remainder dropped."""
-        d = self.degree
-        if d < 1:
-            raise ValueError("cannot deflate a constant")
-        out = [0j] * d
-        out[d - 1] = self.coeffs[d]
-        for i in range(d - 2, -1, -1):
-            out[i] = self.coeffs[i + 1] + root * out[i + 1]
-        return ComplexPolynomial(out)
 
     def __eq__(self, other):
         if not isinstance(other, ComplexPolynomial):
@@ -503,7 +492,7 @@ def poly_divide(phi: ZeonPolynomial, psi: ZeonPolynomial,
                 rem[k + i] = rem[k + i].sub(c.mul(psi.coeffs[i], tol), tol)
         rem[k + dpsi] = ZeonElement.zero(n)  # cancelled by construction
     remainder = rem[:dpsi] if dpsi > 0 else [ZeonElement.zero(n)]
-    return ZeonPolynomial(quot, tol), ZeonPolynomial(remainder, tol)
+    return ZeonPolynomial(quot), ZeonPolynomial(remainder)
 
 
 class _Residual:

@@ -47,7 +47,7 @@ def _char_poly(matrix: ZeonMatrix, tol: Tolerances) -> tuple[ZeonPolynomial, flo
     for k in range(2, m + 1):
         mk = matrix.mul(mk.add(ZeonMatrix.diagonal([c] * m), tol), tol)
         c = coeffs[m - k] = mk.trace(tol).scale(-1.0 / k, tol)
-    return ZeonPolynomial(coeffs, tol), mk.add(ZeonMatrix.diagonal([c] * m), tol).norm_inf()
+    return ZeonPolynomial(coeffs), mk.add(ZeonMatrix.diagonal([c] * m), tol).norm_inf()
 
 
 def _char_zero(chi: ZeonPolynomial, lam: ZeonMatrix, tol: Tolerances) -> float:
@@ -168,13 +168,6 @@ class Eigenpair:
     value: ZeonElement
     vector: ZeonVector
     normalized: ZeonVector
-    spectrally_simple: bool = True
-
-    def to_json(self) -> dict:
-        return {"value": self.value.to_json(),
-                "vector": self.vector.to_json(),
-                "normalized": self.normalized.to_json(),
-                "spectrally_simple": self.spectrally_simple}
 
 
 @dataclass(frozen=True)

@@ -57,6 +57,13 @@ def max_dense_diff(a: list[complex], b: list[complex]) -> float:
     return max(abs(x - y) for x, y in zip(a, b))
 
 
+def exactly(got, want) -> bool:
+    """Same bool, or the same value of the same type, coefficient for coefficient."""
+    if isinstance(want, bool):
+        return got is want
+    return type(got) is type(want) and got.to_json() == want.to_json()
+
+
 def perm_parity(perm) -> int:
     inversions = sum(1 for a in range(len(perm)) for b in range(a + 1, len(perm))
                      if perm[a] > perm[b])

@@ -19,7 +19,7 @@ from zeonalg import (
 )
 from zeonalg.algebra import _DENSE_MIN_PAIRS, _convolve, _dense_mul, _dict_mul
 
-from oracles import dense_mul, from_dense, max_dense_diff, rand_element, to_dense
+from oracles import dense_mul, exactly, from_dense, max_dense_diff, rand_element, to_dense
 
 
 def Z(n, terms):
@@ -514,3 +514,42 @@ class TestPretty:
 
     def test_significant_figures(self):
         assert Z(1, {0: 1 / 3}).pretty(sig=6) == "0.333333"
+
+
+ELEMENT_U = Z(3, {0: 2, 0b001: 1, 0b110: -0.5j})
+ELEMENT_V = Z(3, {0: -1 + 1j, 0b010: 3})
+TWO = ZeonElement.scalar(3, 2)
+
+
+class TestOperatorProtocol:
+    """Each operator of ZeonElement is its named method with default tolerances."""
+
+    @pytest.mark.parametrize("op, method", [
+        (lambda u, v: u + v, lambda u, v: u.add(v)),
+        (lambda u, v: 2 + u, lambda u, v: u.add(TWO)),
+        (lambda u, v: u - v, lambda u, v: u.sub(v)),
+        (lambda u, v: 2 - u, lambda u, v: TWO.sub(u)),
+        (lambda u, v: u * v, lambda u, v: u.mul(v)),
+        (lambda u, v: 2 * u, lambda u, v: u.scale(2)),
+        (lambda u, v: u / 4, lambda u, v: u.scale(0.25)),
+        (lambda u, v: u / v, lambda u, v: u.mul(v.inverse())),
+        (lambda u, v: u ** 3, lambda u, v: u.pow(3)),
+        (lambda u, v: -u, lambda u, v: u.scale(-1)),
+        (lambda u, v: +u, lambda u, v: u),
+        (lambda u, v: u == v, lambda u, v: u.allclose(v)),
+        (lambda u, v: TWO == 2, lambda u, v: True),
+        (lambda u, v: u == "u", lambda u, v: False),
+        (lambda u, v: bool(u), lambda u, v: True),
+        (lambda u, v: bool(ZeonElement.zero(3)), lambda u, v: False),
+    ], ids=["add", "radd", "sub", "rsub", "mul", "rmul", "div-number", "div-element",
+            "pow", "neg", "pos", "eq", "eq-number", "eq-other", "bool", "bool-zero"])
+    def test_operator_equals_method(self, op, method):
+        assert exactly(op(ELEMENT_U, ELEMENT_V), method(ELEMENT_U, ELEMENT_V))
+
+    @pytest.mark.parametrize("op", [
+        lambda u: u + "x", lambda u: "x" + u, lambda u: u - "x", lambda u: "x" - u,
+        lambda u: u * "x", lambda u: u / "x", lambda u: 1 / u, lambda u: u @ u,
+    ], ids=["add", "radd", "sub", "rsub", "mul", "div", "rdiv", "matmul"])
+    def test_unsupported_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(ELEMENT_U)

@@ -84,6 +84,19 @@ class TestInverse:
         assert blob["detail"].startswith(f"cannot write {target}: ")
         assert not target.exists()
 
+    @pytest.mark.parametrize("args", [("eigen", "--pretty", "mat_spectral.json"),
+                                      ("spectral", "mat_det_example.json")],
+                             ids=["success", "domain-error"])
+    def test_closed_stdout_exits_1_silently(self, args):
+        *command, name = args
+        proc = subprocess.Popen([sys.executable, "-m", "zeonalg", *command, fixture(name)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()  # the reader is gone before the command writes
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert err == b""
+
     def test_singular_input_exits_2(self):
         payload = json.dumps(ZeonElement(2, {1: 1}).to_json())
         code, out, _ = run_cli("inv", stdin_text=payload)

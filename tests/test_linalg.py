@@ -40,6 +40,7 @@ from oracles import (
     dense_one,
     dense_perm_det,
     dense_scale,
+    exactly,
     from_dense,
     max_dense_diff,
     rand_element,
@@ -1137,3 +1138,76 @@ class TestEntrywiseMaps:
                 assert on_stack(got)
                 assert_matches(got.add(got), [[dense_scale(to_dense(e), 2) for e in row]
                                               for row in want])
+
+
+MATRIX_A = ZeonMatrix([[Z(2, {0: 1, 0b01: 2}), Z(2, {0: -3j})],
+                       [Z(2, {0b10: 1}), Z(2, {0: 0.5, 0b11: 1})]])
+MATRIX_B = ZeonMatrix([[Z(2, {0: 2}), Z(2, {0b01: 1j})],
+                       [Z(2, {0: -1, 0b11: 4}), Z(2, {0: 1})]])
+VECTOR_X = ZeonVector([Z(2, {0: 1, 0b10: 1}), Z(2, {0: 2j})])
+VECTOR_Y = ZeonVector([Z(2, {0b01: -1}), Z(2, {0: 3, 0b11: 0.5})])
+ELEMENT_E = Z(2, {0: 2, 0b10: -1})
+
+
+class TestMatrixOperatorProtocol:
+    """Each operator of ZeonMatrix is its named method with default tolerances."""
+
+    @pytest.mark.parametrize("op, method", [
+        (lambda a, b: a + b, lambda a, b: a.add(b)),
+        (lambda a, b: a - b, lambda a, b: a.sub(b)),
+        (lambda a, b: -a, lambda a, b: a.scale(-1)),
+        (lambda a, b: a @ b, lambda a, b: a.mul(b)),
+        (lambda a, b: a @ VECTOR_X, lambda a, b: a.mul(VECTOR_X)),
+        (lambda a, b: a * 3, lambda a, b: a.scale(3)),
+        (lambda a, b: 3 * a, lambda a, b: a.scale(3)),
+        (lambda a, b: a * ELEMENT_E, lambda a, b: a.scale(ELEMENT_E)),
+        (lambda a, b: ELEMENT_E * a, lambda a, b: a.scale(ELEMENT_E)),
+        (lambda a, b: a == b, lambda a, b: a.allclose(b)),
+        (lambda a, b: a == a.scale(1), lambda a, b: True),
+        (lambda a, b: a == 1, lambda a, b: False),
+        (lambda a, b: a == VECTOR_X, lambda a, b: False),
+    ], ids=["add", "sub", "neg", "matmul", "matmul-vector", "mul-number", "rmul-number",
+            "mul-element", "rmul-element", "eq", "eq-self", "eq-number", "eq-vector"])
+    def test_operator_equals_method(self, op, method):
+        assert exactly(op(MATRIX_A, MATRIX_B), method(MATRIX_A, MATRIX_B))
+
+    @pytest.mark.parametrize("op", [
+        lambda a: a + 1, lambda a: a - VECTOR_X, lambda a: a * a, lambda a: a * "x",
+        lambda a: a @ 2, lambda a: a @ ELEMENT_E, lambda a: a.mul("x"),
+    ], ids=["add", "sub-vector", "mul-matrix", "mul-str", "matmul-number",
+            "matmul-element", "mul-method"])
+    def test_unsupported_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(MATRIX_A)
+
+    @pytest.mark.parametrize("other", [
+        ZeonMatrix.identity(3, 2), ZeonMatrix.identity(2, 3),
+        ZeonVector.zero(3, 2), ZeonVector.zero(2, 3),
+    ], ids=["rows", "algebra", "vector-length", "vector-algebra"])
+    def test_mul_shape_mismatch_raises(self, other):
+        with pytest.raises(DimensionMismatch):
+            MATRIX_A.mul(other)
+
+
+class TestVectorOperatorProtocol:
+    """Each operator of ZeonVector is its named method with default tolerances."""
+
+    @pytest.mark.parametrize("op, method", [
+        (lambda x, y: x + y, lambda x, y: x.add(y)),
+        (lambda x, y: x - y, lambda x, y: x.sub(y)),
+        (lambda x, y: -x, lambda x, y: x.scale(-1)),
+        (lambda x, y: x == y, lambda x, y: x.allclose(y)),
+        (lambda x, y: x == x.scale(1), lambda x, y: True),
+        (lambda x, y: x == MATRIX_A, lambda x, y: False),
+        (lambda x, y: x == 1, lambda x, y: False),
+    ], ids=["add", "sub", "neg", "eq", "eq-self", "eq-matrix", "eq-number"])
+    def test_operator_equals_method(self, op, method):
+        assert exactly(op(VECTOR_X, VECTOR_Y), method(VECTOR_X, VECTOR_Y))
+
+    @pytest.mark.parametrize("op", [
+        lambda x: x + 1, lambda x: 1 + x, lambda x: x - MATRIX_A, lambda x: 1 - x,
+        lambda x: x + ELEMENT_E,
+    ], ids=["add", "radd", "sub-matrix", "rsub", "add-element"])
+    def test_unsupported_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(VECTOR_X)

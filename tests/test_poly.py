@@ -27,8 +27,8 @@ from zeonalg import (
     split,
 )
 
-from oracles import (dense_mul, dense_one, generator_roots, rand_element, sequential_lift,
-                     split_n16_roots, to_dense)
+from oracles import (dense_mul, dense_one, exactly, generator_roots, rand_element,
+                     sequential_lift, split_n16_roots, to_dense)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 TOLS = (poly.DEFAULT, Tolerances(prune=1e-6, compare=1e-6))
@@ -765,3 +765,36 @@ class TestLiftErrorOrder:
         with pytest.raises(SpectralSimplicityError,
                            match=r"^shadow zero 1 is not simple; it does not lift uniquely$"):
             lift_simple_zero(nonsplit(), 1.0)
+
+
+POLY_P = ZeonPolynomial([Z(2, {0: 1, 0b01: 2}), Z(2, {0: -3j}), Z(2, {0: 1})])
+POLY_Q = ZeonPolynomial([Z(2, {0b10: 1}), Z(2, {0: 0.5, 0b11: 1})])
+POLY_E = Z(2, {0: 2, 0b10: -1})
+
+
+class TestOperatorProtocol:
+    """Each operator of ZeonPolynomial is its named method with default tolerances."""
+
+    @pytest.mark.parametrize("op, method", [
+        (lambda p, q: p + q, lambda p, q: p.add(q)),
+        (lambda p, q: p - q, lambda p, q: p.sub(q)),
+        (lambda p, q: p * q, lambda p, q: p.mul(q)),
+        (lambda p, q: p * 3, lambda p, q: p.scale(3)),
+        (lambda p, q: 3 * p, lambda p, q: p.scale(3)),
+        (lambda p, q: p * POLY_E, lambda p, q: p.scale(POLY_E)),
+        (lambda p, q: POLY_E * p, lambda p, q: p.scale(POLY_E)),
+        (lambda p, q: p == q, lambda p, q: p.allclose(q)),
+        (lambda p, q: p == p.scale(1), lambda p, q: True),
+        (lambda p, q: p == POLY_E, lambda p, q: False),
+    ], ids=["add", "sub", "mul", "mul-number", "rmul-number", "mul-element",
+            "rmul-element", "eq", "eq-self", "eq-other"])
+    def test_operator_equals_method(self, op, method):
+        assert exactly(op(POLY_P, POLY_Q), method(POLY_P, POLY_Q))
+
+    @pytest.mark.parametrize("op", [
+        lambda p: p + 1, lambda p: 1 + p, lambda p: p - POLY_E, lambda p: 1 - p,
+        lambda p: p * "x", lambda p: p @ p,
+    ], ids=["add", "radd", "sub", "rsub", "mul", "matmul"])
+    def test_unsupported_operand_raises_type_error(self, op):
+        with pytest.raises(TypeError):
+            op(POLY_P)
