@@ -140,9 +140,13 @@ def _kept(terms: Iterable[tuple[int, complex]], prune: float) -> dict[int, compl
     return {mask: c for mask, c in terms if abs(c) >= prune}
 
 
-def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],
-               prune: float) -> dict[int, complex]:
-    """Blade-convolution product on 2^n coefficient arrays, pruned below prune.
+def _dense_kernel(n: int, a: Mapping[int, complex], b: Mapping[int, complex]) -> bool:
+    """Kernel rule of element products: the array kernel, or the loop over stored terms."""
+    return n <= _DENSE_MAX_N and len(a) * len(b) >= _DENSE_MIN_PAIRS[n]
+
+
+def _dense_product(n: int, a: Mapping[int, complex], b: Mapping[int, complex]) -> list[complex]:
+    """Blade-convolution product on 2^n coefficient arrays, as the list of its 2^n coefficients.
 
     Sums a[k ^ j] * b[j] over the 3^n subset pairs j of k, instead of
     visiting |a| * |b| blade pairs of which most overlap.
@@ -152,15 +156,38 @@ def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],
     x[np.fromiter(a, np.intp, len(a))] = np.fromiter(a.values(), complex, len(a))
     y = np.zeros(size, complex)
     y[np.fromiter(b, np.intp, len(b))] = np.fromiter(b.values(), complex, len(b))
-    out = _convolve(n, x, y, np.multiply)
-    return _kept(enumerate(out.tolist()), prune)
+    return _convolve(n, x, y, np.multiply).tolist()
 
 
-def _dict_mul(a: Mapping[int, complex], b: Mapping[int, complex]) -> dict[int, complex]:
-    """Blade-convolution product over stored terms; disjoint masks merge, overlapping die."""
+def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],
+               prune: float) -> dict[int, complex]:
+    """_dense_product pruned below prune."""
+    return _kept(enumerate(_dense_product(n, a, b)), prune)
+
+
+def _mul_into(out: dict[int, complex], n: int, a: Mapping[int, complex],
+              b: Mapping[int, complex]) -> None:
+    """Adds the product of the term maps a and b into out, unpruned, by the
+    kernel _dense_kernel picks; a sum of products is then pruned once."""
+    if _dense_kernel(n, a, b):
+        get = out.get
+        for k, c in enumerate(_dense_product(n, a, b)):
+            if c:
+                out[k] = get(k, 0j) + c
+    else:
+        _dict_mul(a, b, out)
+
+
+def _dict_mul(a: Mapping[int, complex], b: Mapping[int, complex],
+              out: dict[int, complex] | None = None) -> dict[int, complex]:
+    """Blade-convolution product over stored terms; disjoint masks merge, overlapping die.
+
+    The terms are added into out when given, else into a new dict; returns that dict.
+    """
     if len(a) > len(b):
         a, b = b, a
-    out: dict[int, complex] = {}
+    if out is None:
+        out = {}
     get = out.get
     for i, x in a.items():
         for j, y in b.items():
@@ -322,7 +349,7 @@ class ZeonElement:
         """
         self._require_same_n(other)
         n, a, b = self.n, self.terms, other.terms
-        if n <= _DENSE_MAX_N and len(a) * len(b) >= _DENSE_MIN_PAIRS[n]:
+        if _dense_kernel(n, a, b):
             return ZeonElement._wrap(n, _dense_mul(n, a, b, tol.prune))
         return ZeonElement._pruned(n, _dict_mul(a, b), tol.prune)
 

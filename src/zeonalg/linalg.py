@@ -22,6 +22,7 @@ from .algebra import (
     ZeonElement,
     _binomial_series,
     _convolve,
+    _mul_into,
     _operator_matmul,
 )
 from .errors import DimensionMismatch, ParseError, SingularityError
@@ -29,7 +30,23 @@ from .tolerances import DEFAULT, Tolerances
 
 _EPS = 2.0 ** -52
 
-# A product of two element grids on n <= _DENSE_MAX_N generators moves to
+# Matrices on n <= _GRID_MAX_N generators keep element grids: from_scalar_matrix
+# builds grids there and _use_stack never picks the stacks, so that small
+# matrices never load numpy. No element product reaches the array kernel
+# there either (4^n < _DENSE_MIN_PAIRS[n] in algebra.py). In-process the
+# grids cost more than stacks at n = 3: spectral_decompose of a dense 3 x 3
+# took 4.5 against 1.2 ms, while importing numpy added 95 ms to a cold
+# `zeon spectral` on the same input, so a process breaks even at about 30
+# such calls.
+_GRID_MAX_N = 3
+
+
+def _stack_sized(n: int) -> bool:
+    """Size rule of the two matrix forms: stacks only on _GRID_MAX_N < n <= _DENSE_MAX_N."""
+    return _GRID_MAX_N < n <= _DENSE_MAX_N
+
+
+# A product of two element grids on which _stack_sized holds moves to
 # coefficient stacks when it makes at least _STACK_MIN_PRODUCTS[n] element
 # products (rows * inner * cols) and at least _STACK_MIN_PAIRS[n] stored-term
 # pairs, the sum over l of (terms in column l of A) * (terms in row l of B);
@@ -38,14 +55,15 @@ _EPS = 2.0 ** -52
 # stored pairs cost. Both tables come from a sweep over four product shapes
 # with m = 2..8, n = 0..8 and 1 to 2^n blades per entry, timed from element
 # grids to element grids, and let the stacks run only where they were at
-# least 10% faster than the loop.
+# least 10% faster than the loop (n <= _GRID_MAX_N included, where the
+# size rule keeps the grids anyway).
 _STACK_MIN_PRODUCTS = (12, 12, 12, 12, 12, 12, 12, 27, 48)
 _STACK_MIN_PAIRS = (18, 28, 28, 50, 112, 450, 2200, 9000, 56000)
 
 
 def _use_stack(n: int, products: int, pairs) -> bool:
     """Dispatch rule of matrix products; pairs() counts the stored-term pairs."""
-    return (n <= _DENSE_MAX_N and products >= _STACK_MIN_PRODUCTS[n]
+    return (_stack_sized(n) and products >= _STACK_MIN_PRODUCTS[n]
             and pairs() >= _STACK_MIN_PAIRS[n])
 
 
@@ -267,7 +285,8 @@ class ZeonMatrix:
     """Dense matrix with zeon entries; square for most operations.
 
     For n <= _DENSE_MAX_N a matrix can also hold its coefficients as a
-    (2^n, rows, cols) complex stack. Arithmetic runs on the stacks
+    (2^n, rows, cols) complex stack; only those past the size rule
+    (_stack_sized) build one themselves. Arithmetic runs on the stacks
     whenever an operand already holds one; a product of two element
     grids builds their stacks when _use_stack picks the stack kernel.
     Results of stack arithmetic build their entries only when read.
@@ -350,15 +369,15 @@ class ZeonMatrix:
 
     @classmethod
     def from_scalar_matrix(cls, array, n: int, tol: Tolerances = DEFAULT) -> "ZeonMatrix":
-        """Embed a complex matrix as scalar zeon entries: the blade-0 layer
-        of a stack for n <= _DENSE_MAX_N, a grid of elements above."""
-        arr = np.asarray(array, dtype=complex)
-        if n <= _DENSE_MAX_N:
+        """Embed a complex matrix, nested rows or a 2-d array, as scalar zeon
+        entries: the blade-0 layer of a stack where _stack_sized(n), a grid
+        of elements otherwise."""
+        if _stack_sized(n):
+            arr = np.asarray(array, dtype=complex)
             stack = np.zeros((1 << n, *arr.shape), complex)
             stack[0] = arr
             return cls._from_stack(stack, n, tol)
-        return cls([[ZeonElement.scalar(n, arr[i, j], tol) for j in range(arr.shape[1])]
-                    for i in range(arr.shape[0])])
+        return cls([ZeonElement.scalar(n, c, tol) for c in row] for row in array)
 
     @property
     def is_square(self) -> bool:
@@ -430,15 +449,18 @@ class ZeonMatrix:
             if _use_operator(n, self.rows, self.cols, other.cols):
                 return ZeonMatrix._from_stack(_operator_matmul(n, x, y), n, tol)
             return ZeonMatrix._from_stack(_convolve(n, x, y, np.matmul), n, tol)
-        b = other.entries
+        # one accumulator per entry, pruned once, as the stack kernels prune
+        columns = [[e.terms for e in col] for col in zip(*other.entries)]
+        prune = tol.prune
         out_rows = []
         for row_a in self.entries:
+            left = [x.terms for x in row_a]
             row = []
-            for j in range(other.cols):
-                acc = ZeonElement.zero(n)
-                for x, row_b in zip(row_a, b):
-                    acc = acc.add(x.mul(row_b[j], tol), tol)
-                row.append(acc)
+            for col in columns:
+                acc: dict[int, complex] = {}
+                for x, y in zip(left, col):
+                    _mul_into(acc, n, x, y)
+                row.append(ZeonElement._pruned(n, acc, prune))
             out_rows.append(tuple(row))
         return ZeonMatrix._wrap(tuple(out_rows), n)
 
@@ -465,8 +487,13 @@ class ZeonMatrix:
         """Complex matrix of scalar parts."""
         if self._on_stack():
             return self._stack[0].copy()
-        return np.array([[e.scalar_part() for e in row] for row in self.entries],
-                        dtype=complex)
+        return np.array(self._scalars(), dtype=complex)
+
+    def _scalars(self) -> list[list[complex]]:
+        # Internal: the scalar parts as nested lists, read without numpy on a grid.
+        if self._on_stack():
+            return self._stack[0].tolist()
+        return [[e.scalar_part() for e in row] for row in self.entries]
 
     def dual(self) -> "ZeonMatrix":
         """Entrywise dual part; all entries nilpotent."""
@@ -474,7 +501,7 @@ class ZeonMatrix:
                          ZeonElement.dual_part)
 
     def conjugate(self) -> "ZeonMatrix":
-        return self._map(np.conj, ZeonElement.conjugate)
+        return self._map(lambda s: np.conj(s), ZeonElement.conjugate)
 
     def _block(self, rows: Sequence[int], cols: Sequence[int]) -> "ZeonMatrix":
         # Internal: the submatrix on the given rows and columns, in the form
@@ -494,14 +521,14 @@ class ZeonMatrix:
 
     def _entrywise(self, other, tol: Tolerances) -> "ZeonMatrix":
         # Internal: the entrywise product with a matrix of the same shape (on a
-        # stack, also a 1 x 1 one, which broadcasts), or with a complex array of
-        # that shape, which scales each entry.
+        # stack, also a 1 x 1 one, which broadcasts), or with nested rows of
+        # complex numbers of that shape, which scale each entry.
         n = self.n
-        if isinstance(other, np.ndarray):
+        if isinstance(other, list):
             if self._on_stack():
-                return ZeonMatrix._from_stack(self._stack * other, n, tol)
+                return ZeonMatrix._from_stack(self._stack * np.array(other, complex), n, tol)
             return ZeonMatrix._wrap(tuple(tuple(e.scale(c, tol) for e, c in zip(row, scales))
-                                          for row, scales in zip(self.entries, other.tolist())), n)
+                                          for row, scales in zip(self.entries, other)), n)
         if self._on_stack(other):
             return ZeonMatrix._from_stack(
                 _convolve(n, self._coeffs(), other._coeffs(), np.multiply), n, tol)
@@ -581,7 +608,7 @@ class ZeonMatrix:
         return self.sub(other) if isinstance(other, ZeonMatrix) else NotImplemented
 
     def __neg__(self):
-        return self._map(np.negative, ZeonElement.__neg__)
+        return self._map(lambda s: np.negative(s), ZeonElement.__neg__)
 
     def __matmul__(self, other):
         return self.mul(other)

@@ -10,6 +10,8 @@ eigenbasis finds all at once.
 
 from __future__ import annotations
 
+import cmath
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -193,11 +195,75 @@ class SpectralDecomposition:
                 "checks": dict(self.checks)}
 
 
+# A Jacobi rotation is due where |a_pq| > _JACOBI_REL sqrt(|a_pp a_qq|).
+_JACOBI_REL = 2.0 ** -52
+# Cyclic Jacobi converges quadratically: at most 8 sweeps, the last one
+# quiet, on random Hermitian matrices with m <= 16; the cap only keeps a
+# fault from looping forever.
+_JACOBI_MAX_SWEEPS = 64
+
+
+def _hermitian_eigen(shadow: Sequence[Sequence[complex]]
+                     ) -> tuple[list[float], list[list[complex]]]:
+    """Eigenvalues, descending, and orthonormal eigenvectors (the columns) of a Hermitian matrix.
+
+    Cyclic Jacobi (Jacobi 1846), in pure Python, on the matrix its lower
+    triangle defines. Each rotation in the (p, q) plane, a phase on q times
+    a real rotation, sets a_pq to 0; a sweep visits every p < q and rotates
+    where |a_pq| > _JACOBI_REL sqrt(|a_pp a_qq|), the stopping test relative
+    to the diagonal of Demmel and Veselic (SIAM J. Matrix Anal. Appl. 13,
+    1992). The first sweep that rotates nowhere ends it.
+    """
+    m = len(shadow)
+    if not all(cmath.isfinite(c) for row in shadow for c in row):
+        raise ZeonError("the shadow matrix holds a non-finite entry; it has no eigenbasis")
+    a = [[complex(shadow[i][j].real) if i == j else
+          complex(shadow[i][j]) if i > j else complex(shadow[j][i]).conjugate()
+          for j in range(m)] for i in range(m)]
+    v = [[1.0 + 0j if i == j else 0j for j in range(m)] for i in range(m)]
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p in range(m - 1):
+            for q in range(p + 1, m):
+                r = abs(a[p][q])
+                app, aqq = a[p][p].real, a[q][q].real
+                if not r > _JACOBI_REL * math.sqrt(abs(app)) * math.sqrt(abs(aqq)):
+                    continue
+                rotated = True
+                phase = (a[p][q] / r).conjugate()      # makes a_pq real and positive
+                tau = (aqq - app) / (2 * r)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1 / math.hypot(1.0, t)
+                s = t * c
+                sp, cp = s * phase, c * phase
+                for k in range(m):
+                    if k != p and k != q:
+                        akp, akq = a[k][p], a[k][q]
+                        a[k][p] = c * akp - sp * akq
+                        a[k][q] = s * akp + cp * akq
+                        a[p][k] = a[k][p].conjugate()
+                        a[q][k] = a[k][q].conjugate()
+                a[p][p] = complex(app - t * r)
+                a[q][q] = complex(aqq + t * r)
+                a[p][q] = a[q][p] = 0j
+                for row in v:
+                    vp, vq = row[p], row[q]
+                    row[p] = c * vp - sp * vq
+                    row[q] = s * vp + cp * vq
+        if not rotated:
+            break
+    else:
+        raise NonConvergenceError(f"Jacobi did not converge in {_JACOBI_MAX_SWEEPS} sweeps")
+    values = [a[i][i].real for i in range(m)]
+    order = sorted(range(m), key=values.__getitem__, reverse=True)
+    return [values[j] for j in order], [[row[j] for j in order] for row in v]
+
+
 def _refine(matrix: ZeonMatrix, tol: Tolerances):
     """Eigenvalue row and eigenvector frame X of a self-adjoint matrix.
 
     Refinement of the shadow eigenbasis (Ogita and Aishima, 2018) with no
-    series in it. X starts at eigh of the shadow, columns by descending
+    series in it. X starts at the shadow's eigenvectors, columns by descending
     eigenvalue; SpectralSimplicityError names each cluster of eigenvalues
     closer than tol.scalar_zero times the largest magnitude. Each pass forms
     G = X-adjoint X = I - R and S = X-adjoint A X, then lambda_i = S_ii (2 - G_ii),
@@ -208,20 +274,32 @@ def _refine(matrix: ZeonMatrix, tol: Tolerances):
     doubles each pass, and the errors of lambda (O(R^2)) and W (squared by
     each step) stay at or above it, so n.bit_length() passes reach the exact
     frame; one more is run as a margin. Returns the 1 x m row of eigenvalues and X.
+
+    The shadow eigenbasis comes from _hermitian_eigen, and the scalar
+    matrices from nested lists, so on element grids nothing loads numpy.
     """
     m, n = matrix.rows, matrix.n
-    values, vectors = (a[..., ::-1] for a in np.linalg.eigh(matrix.scalar_matrix()))
-    close = values[:-1] - values[1:] <= tol.scalar_zero * np.max(np.abs(values))
-    if close.any():
-        clusters = np.split(values, np.flatnonzero(~close) + 1)
-        desc = ", ".join(f"{c.mean():.6g} x{len(c)}" for c in clusters if len(c) > 1)
+    values, vectors = _hermitian_eigen(matrix._scalars())
+    bound = tol.scalar_zero * max(map(abs, values))
+    clusters = [[values[0]]]
+    for above, value in zip(values, values[1:]):
+        if above - value <= bound:
+            clusters[-1].append(value)
+        else:
+            clusters.append([value])
+    if len(clusters) < m:
+        desc = ", ".join(f"{sum(c) / len(c):.6g} x{len(c)}" for c in clusters if len(c) > 1)
         raise SpectralSimplicityError(
             f"shadow spectrum is not simple ({desc}); no unique decomposition")
 
     x = ZeonMatrix.from_scalar_matrix(vectors, n, tol)
-    two = ZeonMatrix.from_scalar_matrix(np.full((m, m), 2.0), n, tol)
-    w = ZeonMatrix.from_scalar_matrix(
-        (1 - np.eye(m)) / (values[None, :] - values[:, None] + np.eye(m)), n, tol)
+    if matrix._stack is not None:
+        x._coeffs()  # so that Z below, and with it every pass, stays on the input's stack
+    two = ZeonMatrix.from_scalar_matrix([[2.0] * m] * m, n, tol)
+    w = ZeonMatrix.from_scalar_matrix([[0.0 if i == j else 1 / (vj - vi)
+                                        for j, vj in enumerate(values)]
+                                       for i, vi in enumerate(values)], n, tol)
+    half = [[0.5 if i == j else 0.0 for j in range(m)] for i in range(m)]
     eye = ZeonMatrix.identity(m, n)
     diagonal, lower = list(range(m)), list(range(m, 2 * m))
     # A X rides along as the lower half of Z = [X; A X], so one product
@@ -238,7 +316,7 @@ def _refine(matrix: ZeonMatrix, tol: Tolerances):
         gaps = lam_cols.sub(lam_cols.transpose(), tol)                   # U, 0 on the diagonal
         w = w._entrywise(two.sub(gaps._entrywise(w, tol), tol), tol)
         correction = s.sub(gram._entrywise(lam_cols, tol), tol)._entrywise(w, tol).add(
-            eye.sub(gram, tol)._entrywise(np.eye(m) / 2, tol), tol)
+            eye.sub(gram, tol)._entrywise(half, tol), tol)
         z = z.add(z.mul(correction, tol), tol)
     return lam, z._block(diagonal, diagonal)
 
@@ -262,7 +340,8 @@ def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> Spectra
         raise NotSelfAdjointError("matrix is not self-adjoint within tolerance")
     lam, x = _refine(matrix, tol)
     diagonal, first = list(range(matrix.rows)), [0] * matrix.rows
-    free = np.argmax(np.abs(x.scalar_matrix()), axis=0).tolist()
+    shadow = x._scalars()
+    free = [max(diagonal, key=lambda i: abs(shadow[i][j])) for j in diagonal]
     pivots = x._gather(free, diagonal).conjugate()                       # conj(X_fj) in column j
     scales = pivots._entrywise(pivots.conjugate(), tol)._entrywise_power(-0.5, tol)   # p_j
     frame = x._entrywise(pivots._entrywise(scales, tol)._block(first, diagonal), tol)

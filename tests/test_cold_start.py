@@ -6,15 +6,43 @@ numpy loaded long before these tests run.
 
 import json
 import pathlib
+import random
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
-from zeonalg import ZeonMatrix, spectral_decompose
+from zeonalg import ZeonElement, ZeonMatrix, spectral_decompose
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def dense_matrix_file(tmp_path, n, self_adjoint=False):
+    """A seeded matrix on n generators whose entries hold every blade, written as JSON.
+
+    At n = 4 it is past the size rule that keeps small matrices on element
+    grids, so its products and its elimination run on coefficient stacks.
+    Self-adjoint, it is diag(3, 1, -2) plus a Hermitian nilpotent part, so its
+    shadow spectrum is simple; otherwise 5 x 5 with random entries.
+    """
+    rng = random.Random(7000 + n)
+
+    def element(scalar):
+        terms = {mask: complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+                 for mask in range(1, 1 << n)}
+        terms[0] = scalar
+        return ZeonElement(n, terms)
+
+    if self_adjoint:
+        b = ZeonMatrix([[element(0).dual_part() for _ in range(3)] for _ in range(3)])
+        matrix = ZeonMatrix.diagonal([ZeonElement.scalar(n, c) for c in (3, 1, -2)]).add(
+            b.add(b.adjoint()))
+    else:
+        matrix = ZeonMatrix([[element(rng.uniform(-1, 1)) for _ in range(5)] for _ in range(5)])
+    path = tmp_path / f"dense_n{n}{'_hermitian' if self_adjoint else ''}.json"
+    path.write_text(json.dumps(matrix.to_json()))
+    return path
 
 
 def run_python(source, *args):
@@ -36,6 +64,10 @@ CLI = """
 @pytest.mark.parametrize("args, exit_code", [
     (["det", "mat_det_example.json"], 0),
     (["det", "mat_spectral.json"], 0),
+    (["spectral", "mat_spectral.json"], 0),
+    (["charpoly", "mat_spectral.json"], 0),
+    (["det", "mat_dense5_n3.json"], 0),
+    (["eliminate", "mat_dense5_n3.json"], 0),
     (["eliminate", "mat_det_example.json"], 0),
     (["det", "mat_sparse5_n3.json"], 0),
     (["eliminate", "mat_sparse5_n3.json"], 0),
@@ -56,12 +88,23 @@ def test_command_leaves_numpy_unloaded(args, exit_code):
 
 
 @pytest.mark.parametrize("command", ["det", "eliminate"])
-def test_dense_elimination_loads_numpy(command):
-    # every entry of mat_dense5_n3.json holds all 7 nilpotent blades, so elimination
-    # runs on the stack
-    code, numpy_loaded = run_python(CLI, command, str(FIXTURES / "mat_dense5_n3.json"))
+def test_dense_elimination_loads_numpy(command, tmp_path):
+    # every entry holds all 15 nilpotent blades at n = 4, past the size rule, so
+    # elimination runs on the stack
+    code, numpy_loaded = run_python(CLI, command, str(dense_matrix_file(tmp_path, 4)))
     assert code == 0
     assert numpy_loaded
+
+
+def test_conjugate_maps_leave_numpy_unloaded():
+    # the stack-side maps of conjugate, adjoint and unary minus load nothing on a grid
+    assert run_python("""
+        import json, pathlib, sys
+        from zeonalg import ZeonMatrix
+        a = ZeonMatrix.from_json(json.loads(pathlib.Path(sys.argv[1]).read_text()))
+        a.adjoint(), a.conjugate(), -a
+        print(json.dumps("numpy" in sys.modules))
+    """, str(FIXTURES / "mat_det_example.json")) is False
 
 
 def test_table_lift_loads_numpy():
@@ -80,7 +123,7 @@ def test_import_leaves_numpy_unloaded():
     """) is False
 
 
-def test_first_use_turns_np_into_numpy_namespace():
+def test_first_use_turns_np_into_numpy_namespace(tmp_path):
     assert run_python("""
         import json, pathlib, sys, types
         from zeonalg import ZeonMatrix, _numpy, spectral_decompose
@@ -92,10 +135,12 @@ def test_first_use_turns_np_into_numpy_namespace():
         print(json.dumps([before, type(np) is types.ModuleType,
                           np.ndarray is numpy.ndarray, np.linalg is numpy.linalg,
                           type(sys.modules["numpy"]) is types.ModuleType]))
-    """, str(FIXTURES / "mat_spectral.json")) == [False, True, True, True, True]
+    """, str(dense_matrix_file(tmp_path, 4, self_adjoint=True))) == [False, True, True, True, True]
 
 
-def test_threads_racing_on_first_use_agree():
+def test_threads_racing_on_first_use_agree(tmp_path):
+    # a self-adjoint matrix at n = 4 decomposes on stacks, so numpy loads in the race
+    path = dense_matrix_file(tmp_path, 4, self_adjoint=True)
     values = run_python("""
         import json, pathlib, sys, threading
         from zeonalg import ZeonMatrix, spectral_decompose
@@ -121,8 +166,8 @@ def test_threads_racing_on_first_use_agree():
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         print(json.dumps(results))
-    """, str(FIXTURES / "mat_spectral.json"))
-    a = ZeonMatrix.from_json(json.loads((FIXTURES / "mat_spectral.json").read_text()))
+    """, str(path))
+    a = ZeonMatrix.from_json(json.loads(path.read_text()))
     want = json.loads(json.dumps([pair.value.to_json()
                                   for pair in spectral_decompose(a).eigenpairs]))
     assert values == [want] * 8

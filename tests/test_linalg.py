@@ -680,16 +680,18 @@ def blade_counts(n):
 
 
 class TestCoefficientStack:
-    @pytest.mark.parametrize("n", [0, 3, 8, 9])
+    @pytest.mark.parametrize("n", [0, 3, 4, 8, 9])
     def test_scalar_matrix_embedding(self, n):
-        # a stack up to n = 8 and a grid above, holding the same scalar
-        # entries; a coefficient below the prune tolerance is dropped in both
+        # a stack on n = 4..8 and a grid below and above (the size rule), holding
+        # the same scalar entries, from an array or from nested rows; a
+        # coefficient below the prune tolerance is dropped in both
         array = np.array([[1 + 2j, 0], [1e-20, -3], [0.5j, 4]])
-        a = ZeonMatrix.from_scalar_matrix(array, n)
-        assert on_stack(a) == (n <= 8)
-        assert (a.rows, a.cols, a.n) == (3, 2, n)
         want = [[ZeonElement.scalar(n, c).terms for c in row] for row in array.tolist()]
-        assert [[e.terms for e in row] for row in a.entries] == want
+        for given in (array, array.tolist()):
+            a = ZeonMatrix.from_scalar_matrix(given, n)
+            assert on_stack(a) == (4 <= n <= 8)
+            assert (a.rows, a.cols, a.n) == (3, 2, n)
+            assert [[e.terms for e in row] for row in a.entries] == want
 
     @pytest.mark.parametrize("n", range(9))
     def test_products_match_dense_oracle(self, n, forced_path):
@@ -808,10 +810,26 @@ class TestCoefficientStack:
         assert on_stack(mid.mul(mid))
         small = rand_grid(rng, 2, 2, 4, 16)
         assert not on_stack(small.mul(small))
+        # below the size rule, n <= 3, even dense products and elimination stay on grids
+        for n in range(4):
+            full = rand_grid(rng, 8, 8, n, 1 << n)
+            assert not on_stack(full.mul(full))
+            assert eliminate(full).upper._stack is None
         # an operand that already holds a stack keeps the product on the stacks
         held = forms(sparse)[2]
         assert on_stack(held.mul(sparse)) and on_stack(sparse.mul(held))
         assert held._entries is None
+
+    @pytest.mark.parametrize("n", [2, 9])
+    def test_grid_product_prunes_each_entry_once(self, n):
+        # every element product 6e-13 is below the prune, their sum 1.8e-12 is
+        # not: the grid keeps the sum, as the stacks do
+        row = ZeonMatrix([[ZeonElement.scalar(n, 1e-6)] * 3])
+        column = ZeonMatrix([[ZeonElement.scalar(n, 6e-7)]] * 3)
+        held = [forms(row)[2]] if n <= 8 else []
+        for left in [row, *held]:
+            (got,), = left.mul(column).entries
+            assert list(got.terms) == [0] and abs(got.terms[0] - 1.8e-12) <= 1e-24
 
     def test_n9_runs_the_element_loop(self):
         n = 9

@@ -575,6 +575,96 @@ class TestRefinement:
             assert abs(got - want) <= 1e-12 * want
 
 
+def hermitian(rng, m):
+    """Seeded Hermitian m x m array with Gaussian entries."""
+    g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    return (g + g.conj().T) / 2
+
+
+class TestHermitianEigen:
+    """The pure-Python Jacobi that finds the shadow eigenbasis, against numpy's eigh."""
+
+    @staticmethod
+    def assert_eigenbasis(a, values, vectors):
+        norm = np.linalg.norm(a, 2)
+        v = np.array(vectors, dtype=complex)
+        assert values == sorted(values, reverse=True)
+        assert np.linalg.norm(a @ v - v * values, 2) <= 1e-13 * norm
+        assert np.linalg.norm(v.conj().T @ v - np.eye(len(a)), 2) <= 1e-13
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e6])
+    def test_matches_eigh(self, m, scale):
+        rng = np.random.default_rng(1200 + m)
+        for _ in range(6):
+            a = scale * hermitian(rng, m)
+            values, vectors = spectral._hermitian_eigen(a.tolist())
+            want = np.linalg.eigh(a)[0][::-1]
+            assert np.abs(np.array(values) - want).max() <= 1e-13 * np.linalg.norm(a, 2)
+            self.assert_eigenbasis(a, values, vectors)
+
+    def test_reads_the_lower_triangle(self):
+        # as eigh does: the upper triangle and the diagonal's imaginary parts are ignored
+        a = hermitian(np.random.default_rng(1210), 4)
+        skewed = np.tril(a) + np.triu(np.full((4, 4), 5 - 7j), 1) + 3j * np.eye(4)
+        assert spectral._hermitian_eigen(skewed.tolist()) == spectral._hermitian_eigen(a.tolist())
+
+    def test_diagonal_zero_and_one_by_one(self):
+        values, vectors = spectral._hermitian_eigen([[1.0, 0], [0, 4.0 + 0j]])
+        assert values == [4.0, 1.0] and vectors == [[0, 1], [1, 0]]
+        values, vectors = spectral._hermitian_eigen([[0j] * 3] * 3)
+        assert values == [0.0] * 3 and vectors == np.eye(3).tolist()
+        assert spectral._hermitian_eigen([[-2.5 + 0j]]) == ([-2.5], [[1]])
+
+    def test_repeated_value(self):
+        # Q diag(2, 2, -1) Q-adjoint: Jacobi finds the double value, and
+        # spectral_decompose names its cluster in the words it always used
+        q, _ = np.linalg.qr(hermitian(np.random.default_rng(1220), 3))
+        a = q @ np.diag([2.0, 2.0, -1.0]) @ q.conj().T
+        values, vectors = spectral._hermitian_eigen(a.tolist())
+        assert np.allclose(values, [2, 2, -1], rtol=0, atol=1e-14)
+        self.assert_eigenbasis(a, values, vectors)
+        matrix = ZeonMatrix.from_scalar_matrix(a, 2).add(
+            ZeonMatrix.diagonal([Z(2, {0b01: 0.5}), Z(2, {0b10: 1}), Z(2, {0b11: 2})]))
+        with pytest.raises(SpectralSimplicityError, match=r"^shadow spectrum is not simple "
+                           r"\(2 x2\); no unique decomposition$"):
+            spectral_decompose(matrix)
+
+    def test_non_finite_shadow_is_refused(self):
+        with pytest.raises(ZeonError, match="non-finite"):
+            spectral._hermitian_eigen([[1.0, 0], [float("inf"), 2.0]])
+
+
+def planted(m, n, seed):
+    """Planted self-adjoint matrix; at n = 0, a Hermitian shadow with separated values."""
+    if n:
+        return rand_self_adjoint(random.Random(seed), m, n)[0]
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(hermitian(rng, m))
+    return ZeonMatrix.from_scalar_matrix(q @ np.diag(np.arange(m, 0, -1.0)) @ q.conj().T, 0)
+
+
+@pytest.mark.parametrize("n", range(4))
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_grid_and_stack_decompositions_agree(m, n):
+    # below the size rule the decomposition runs on element grids; an input
+    # that already holds its stack keeps every pass on stacks
+    a = planted(m, n, 1300 + 10 * m + n)
+    grid = spectral_decompose(ZeonMatrix(a.entries))
+    held = ZeonMatrix(a.entries)
+    held._coeffs()
+    stack = spectral_decompose(held)
+    assert all(p.normalized.matrix._stack is None for p in grid.eigenpairs)
+    assert all(p.normalized.matrix._stack is not None for p in stack.eigenpairs)
+    scale = max(p.value.norm_inf() for p in grid.eigenpairs)
+    for g, s in zip(grid.eigenpairs, stack.eigenpairs, strict=True):
+        assert g.value.max_diff(s.value) <= 1e-12 * scale
+        assert ZeonMatrix(g.normalized.matrix.entries).sub(s.normalized.matrix).norm_inf() <= 1e-12
+    assert grid.checks.keys() == stack.checks.keys()
+    for name, value in grid.checks.items():
+        assert abs(value - stack.checks[name]) <= 1e-12, name
+
+
 class TestFrame:
     @pytest.mark.parametrize("n", [0, 3, 5, 8, 9])
     def test_stacked_and_grid_vectors_give_equal_frames(self, n):
