@@ -140,11 +140,6 @@ def _kept(terms: Iterable[tuple[int, complex]], prune: float) -> dict[int, compl
     return {mask: c for mask, c in terms if abs(c) >= prune}
 
 
-def _dense_kernel(n: int, a: Mapping[int, complex], b: Mapping[int, complex]) -> bool:
-    """Kernel rule of element products: the array kernel, or the loop over stored terms."""
-    return n <= _DENSE_MAX_N and len(a) * len(b) >= _DENSE_MIN_PAIRS[n]
-
-
 def _dense_product(n: int, a: Mapping[int, complex], b: Mapping[int, complex]) -> list[complex]:
     """Blade-convolution product on 2^n coefficient arrays, as the list of its 2^n coefficients.
 
@@ -159,19 +154,20 @@ def _dense_product(n: int, a: Mapping[int, complex], b: Mapping[int, complex]) -
     return _convolve(n, x, y, np.multiply).tolist()
 
 
-def _dense_mul(n: int, a: Mapping[int, complex], b: Mapping[int, complex],
-               prune: float) -> dict[int, complex]:
-    """_dense_product pruned below prune."""
-    return _kept(enumerate(_dense_product(n, a, b)), prune)
-
-
 def _mul_into(out: dict[int, complex], n: int, a: Mapping[int, complex],
               b: Mapping[int, complex]) -> None:
-    """Adds the product of the term maps a and b into out, unpruned, by the
-    kernel _dense_kernel picks; a sum of products is then pruned once."""
-    if _dense_kernel(n, a, b):
+    """Adds the product of the term maps a and b into out, unpruned, by the array
+    kernel or the loop over stored terms (the rule at _DENSE_MAX_N); a sum of
+    products is then pruned once."""
+    if n <= _DENSE_MAX_N and len(a) * len(b) >= _DENSE_MIN_PAIRS[n]:
+        product = enumerate(_dense_product(n, a, b))
+        if not out:
+            # one C-level update instead of a Python loop over 2^n coefficients,
+            # so mul costs what one prune pass did; the prune drops the zeros
+            out.update(product)
+            return
         get = out.get
-        for k, c in enumerate(_dense_product(n, a, b)):
+        for k, c in product:
             if c:
                 out[k] = get(k, 0j) + c
     else:
@@ -179,15 +175,13 @@ def _mul_into(out: dict[int, complex], n: int, a: Mapping[int, complex],
 
 
 def _dict_mul(a: Mapping[int, complex], b: Mapping[int, complex],
-              out: dict[int, complex] | None = None) -> dict[int, complex]:
-    """Blade-convolution product over stored terms; disjoint masks merge, overlapping die.
+              out: dict[int, complex]) -> dict[int, complex]:
+    """Blade-convolution product over stored terms, added into out; returns out.
 
-    The terms are added into out when given, else into a new dict; returns that dict.
+    Disjoint masks merge, overlapping die.
     """
     if len(a) > len(b):
         a, b = b, a
-    if out is None:
-        out = {}
     get = out.get
     for i, x in a.items():
         for j, y in b.items():
@@ -218,13 +212,6 @@ def _binomial_series(x, alpha: float, one, product, tol: Tolerances):
         if j < x.n:
             power = product(power, x, tol)
     return acc
-
-
-def _format_real(x: float, sig: int) -> str:
-    s = f"{x:.{sig}g}"
-    if s.startswith("-") and float(s) == 0.0:
-        s = s[1:]
-    return s
 
 
 def _signed_sum(parts: list[tuple[bool, str]]) -> str:
@@ -344,14 +331,13 @@ class ZeonElement:
     def mul(self, other: "ZeonElement", tol: Tolerances = DEFAULT) -> "ZeonElement":
         """Blade-convolution product; disjoint masks merge, overlapping die.
 
-        Dense operands on few generators go through the array kernel,
-        everything else through the loop over stored terms.
+        One accumulator filled by _mul_into and pruned once, as the grid
+        matrix product forms each entry.
         """
         self._require_same_n(other)
-        n, a, b = self.n, self.terms, other.terms
-        if _dense_kernel(n, a, b):
-            return ZeonElement._wrap(n, _dense_mul(n, a, b, tol.prune))
-        return ZeonElement._pruned(n, _dict_mul(a, b), tol.prune)
+        out: dict[int, complex] = {}
+        _mul_into(out, self.n, self.terms, other.terms)
+        return ZeonElement._pruned(self.n, out, tol.prune)
 
     def pow(self, k: int, tol: Tolerances = DEFAULT) -> "ZeonElement":
         """Non-negative integer power by repeated squaring."""
@@ -552,7 +538,7 @@ class ZeonElement:
             re, im = c.real, c.imag
             if abs(im) <= 5e-13 * max(1.0, abs(re)):
                 neg = re < 0
-                mag = _format_real(abs(re), sig)
+                mag = f"{abs(re):.{sig}g}"
                 if blade:
                     body = blade if mag == "1" else f"{mag}*{blade}"
                 else:
@@ -560,9 +546,9 @@ class ZeonElement:
             else:
                 neg = False
                 if abs(re) <= 5e-13 * abs(im):
-                    num = _format_real(im, sig) + "j"
+                    num = f"{im:.{sig}g}j"
                 else:
-                    num = f"{_format_real(re, sig)}{im:+.{sig}g}j"
+                    num = f"{re:.{sig}g}{im:+.{sig}g}j"
                 body = f"({num})*{blade}" if blade else f"({num})"
             parts.append((neg, body))
         return _signed_sum(parts)

@@ -485,8 +485,6 @@ class ZeonMatrix:
 
     def scalar_matrix(self) -> np.ndarray:
         """Complex matrix of scalar parts."""
-        if self._on_stack():
-            return self._stack[0].copy()
         return np.array(self._scalars(), dtype=complex)
 
     def _scalars(self) -> list[list[complex]]:
@@ -950,6 +948,11 @@ def _shadow_rank(singular_values: np.ndarray, tol: Tolerances) -> int:
     return int(np.sum(singular_values > tol.scalar_zero * max(1.0, float(singular_values[0]))))
 
 
+def _full_shadow_rank(shadow: np.ndarray, tol: Tolerances) -> bool:
+    """True when a complex matrix has full rank by _shadow_rank."""
+    return _shadow_rank(np.linalg.svd(shadow, compute_uv=False), tol) == min(shadow.shape)
+
+
 def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:
     """Inverse through the binomial series of (I + D)^-1.
 
@@ -959,7 +962,7 @@ def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:
     """
     matrix._require_square("inverse")
     c = matrix.scalar_matrix()
-    if _shadow_rank(np.linalg.svd(c, compute_uv=False), tol) < matrix.rows:
+    if not _full_shadow_rank(c, tol):
         raise SingularityError("scalar part of the matrix is singular within tolerance")
     c_inv = ZeonMatrix.from_scalar_matrix(np.linalg.inv(c), matrix.n, tol)
     nilpotent = matrix.dual().mul(c_inv, tol)

@@ -69,7 +69,7 @@ class ZeonPolynomial:
         coeffs = tuple(coeffs)
         if not coeffs:
             raise ValueError("polynomial needs at least one coefficient")
-        n = coeffs[0].n
+        n = getattr(coeffs[0], "n", None)  # a non-element fails the type check below
         for c in coeffs:
             if not isinstance(c, ZeonElement):
                 raise TypeError("coefficients must be ZeonElement")

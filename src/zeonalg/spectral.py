@@ -19,8 +19,9 @@ from ._numpy import np
 from .algebra import ZeonElement
 from .errors import (DimensionMismatch, NonConvergenceError, NotSelfAdjointError,
                      SpectralSimplicityError, ZeonError)
-from .linalg import ZeonMatrix, ZeonVector, _hstack, _shadow_rank, mat_inverse, outer
-from .poly import ZeonPolynomial, _Lifter, complex_roots
+from .linalg import (ZeonMatrix, ZeonVector, _full_shadow_rank, _hstack, _shadow_rank,
+                     mat_inverse, outer)
+from .poly import ZeonPolynomial, _Lifter, _fmt_c, complex_roots
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -73,12 +74,24 @@ def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonEleme
     descending imaginary part). Shadow eigenvalues with multiplicity
     above one do not lift; the list is then shorter than the dimension.
     Each zero of chi_A lifts as lift_simple_zero does, from one monic
-    polynomial, shadow and Taylor table built for chi_A.
+    polynomial, shadow and Taylor table built for chi_A. A lift whose
+    shadow lambda_0 leaves lambda_0 I - A_0 at full shadow rank (chi_A of
+    a small matrix can lose coefficients to the prune) is no eigenvalue:
+    NonConvergenceError names lambda_0, with the lift as its report.
     """
+    matrix._require_square("eigenvalue extraction")
     chi = char_poly(matrix, tol)
     roots = complex_roots(chi, tol).roots
     lifter = _Lifter(chi, tol)
-    return [lifter.lift(root.value) for root in roots if root.simple]
+    values = [lifter.lift(root.value) for root in roots if root.simple]
+    m, shadow = matrix.rows, matrix.scalar_matrix()
+    for lam in values:
+        lam0 = lam.scalar_part()
+        if _full_shadow_rank(lam0 * np.eye(m) - shadow, tol):
+            raise NonConvergenceError(
+                f"the zero of chi_A lifted above {_fmt_c(lam0)} is not an eigenvalue: "
+                "lambda_0 I - A_0 has full shadow rank", report=lam)
+    return values
 
 
 def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVector:
@@ -87,14 +100,12 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
     The shadow S_0 must have rank m - 1; its null vectors w (right) and
     u (left) then choose the free coordinate f = argmax |w_f| and the
     dropped equation r = argmax |u_r| (r = f when A is self-adjoint).
-    The block B of S without row r and column f has |det B_0| proportional
-    to |u_r| |w_f|, so it is invertible, and one solve gives the kernel
-    vector with x_f = 1:
-
-        x_rest = -B^-1 S[rows != r, f]
-
-    Row r then holds exactly when the value is an eigenvalue of A, which
-    the residual test checks.
+    The bordered matrix M, S / s with row r replaced by e_f-transpose, has
+    |det M_0| proportional to |u_r| |w_f|, so it is invertible, and M x = e_r
+    means S x = 0 off row r and x_f = 1: x is column r of M^-1. The power
+    of two s >= max(1, largest singular value of S_0) keeps mat_inverse's
+    relative rank test blind to A's scale. Row r holds exactly when the
+    value is an eigenvalue of A, which the residual test checks.
     """
     matrix._require_square("eigenvector extraction")
     m, n = matrix.rows, matrix.n
@@ -111,18 +122,15 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
             "the value is not a spectrally simple eigenvalue")
     free = int(np.argmax(np.abs(right[-1])))
     dropped = int(np.argmax(np.abs(left[:, -1])))
-    rows = [i for i in range(m) if i != dropped]
-    cols = [j for j in range(m) if j != free]
-    x = []
-    if rows:  # at m = 1 the free coordinate is the whole vector
-        rest = mat_inverse(shifted._block(rows, cols), tol).mul(-shifted._block(rows, [free]), tol)
-        x = [e for (e,) in rest.entries]
-    x.insert(free, ZeonElement.one(n))
-    vec = ZeonVector(x)
+    size = 2.0 ** max(0, math.frexp(float(singular_values[0]))[1])
+    bordered = list(shifted.scale(1 / size, tol).entries)
+    bordered[dropped] = ZeonVector.unit(m, n, free).entries
+    inverse = mat_inverse(ZeonMatrix._wrap(tuple(bordered), n), tol)
+    vec = ZeonVector._of(inverse._block(range(m), [dropped]))
     residual = shifted.mul(vec, tol).norm_inf()
     if residual > tol.compare * max(1.0, shifted.norm_inf()) * m:
         raise ZeonError(
-            f"the block solve left residual {residual:.3g}; "
+            f"the bordered solve left residual {residual:.3g}; "
             "the value is not an exact eigenvalue of the matrix")
     return vec
 
@@ -397,6 +405,4 @@ def eigen_independence_check(pairs: Sequence, tol: Tolerances = DEFAULT) -> bool
     """
     vectors = [p.vector if isinstance(p, Eigenpair) else p for p in pairs]
     shadow = _frame(vectors).scalar_matrix()
-    if shadow.shape[1] > shadow.shape[0]:
-        return False
-    return _shadow_rank(np.linalg.svd(shadow, compute_uv=False), tol) == shadow.shape[1]
+    return shadow.shape[1] <= shadow.shape[0] and _full_shadow_rank(shadow, tol)

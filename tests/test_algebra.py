@@ -11,13 +11,14 @@ import pytest
 
 from zeonalg import (
     DEFAULT,
+    DimensionMismatch,
     ParseError,
     SingularityError,
     Tolerances,
     ZeonElement,
     ZeonError,
 )
-from zeonalg.algebra import _DENSE_MIN_PAIRS, _convolve, _dense_mul, _dict_mul
+from zeonalg.algebra import _DENSE_MIN_PAIRS, _convolve, _dense_product, _dict_mul, _kept
 
 from oracles import dense_mul, exactly, from_dense, max_dense_diff, rand_element, to_dense
 
@@ -102,7 +103,8 @@ class TestProductKernels:
     def products(n, a, b):
         """Both kernels' canonical products, each checked for canonical form."""
         out = []
-        for terms in (_dense_mul(n, a, b, DEFAULT.prune), ZeonElement(n, _dict_mul(a, b)).terms):
+        for terms in (_kept(enumerate(_dense_product(n, a, b)), DEFAULT.prune),
+                      ZeonElement(n, _dict_mul(a, b, {})).terms):
             assert all(0 <= m < 1 << n for m in terms)
             assert all(abs(c) >= DEFAULT.prune for c in terms.values())
             out.append([terms.get(m, 0j) for m in range(1 << n)])
@@ -149,7 +151,7 @@ class TestProductKernels:
             for count in (4, 1 << (n - 2), 1 << (n - 1), 1 << n):
                 a, b = random_terms(rng, n, count), random_terms(rng, n, count)
                 got = ZeonElement(n, a).mul(ZeonElement(n, b))
-                assert got.allclose(ZeonElement(n, _dict_mul(a, b)))
+                assert got.allclose(ZeonElement(n, _dict_mul(a, b, {})))
                 assert all(abs(c) >= DEFAULT.prune for c in got.terms.values())
 
 
@@ -181,7 +183,7 @@ class TestUnvalidatedArithmetic:
                 for m, c in terms.items():
                     arr[m] = c
             return dict(enumerate(_convolve(n, *dense, np.multiply).tolist()))
-        return _dict_mul(x, y)
+        return _dict_mul(x, y, {})
 
     def check(self, a, b, tol):
         n = a.n
@@ -201,6 +203,16 @@ class TestUnvalidatedArithmetic:
                 a = ZeonElement(n, random_terms(rng, n, count))
                 b = ZeonElement(n, random_terms(rng, n, count))
                 self.check(a, b, tol)
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_real_operands_keep_signed_zeros(self, tol):
+        # with negative real parts the array kernel's products carry -0.0
+        # imaginary parts, which mul keeps as the kernel made them
+        rng = random.Random(470)
+        for n in (1, 4, 5, 8):
+            terms = [{m: complex(-rng.uniform(0.5, 1.0), 0.0) for m in range(1 << n)}
+                     for _ in range(2)]
+            self.check(ZeonElement(n, terms[0]), ZeonElement(n, terms[1]), tol)
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_cancellations(self, tol):
@@ -447,6 +459,8 @@ class TestToleranceHandling:
             Tolerances(prune=-1e-12, compare=1e-9, scalar_zero=1e-9)
         with pytest.raises(ValueError):
             Tolerances(prune=1e-6, compare=1e-9, scalar_zero=1e-9)
+        with pytest.raises(ValueError, match="finite"):
+            Tolerances(compare=math.inf)
 
     def test_max_diff(self):
         a = Z(2, {0: 1.0, 1: 2.0})
@@ -484,6 +498,14 @@ class TestSerialization:
             {"n": -1, "terms": []},
             {"n": 2, "terms": [{"I": [1], "re": "x", "im": 0.0}]},
             {"n": 2, "terms": [{"re": 1.0, "im": 0.0}]},
+            [{"n": 2, "terms": []}],
+            {"n": 2, "terms": {"I": [], "re": 1.0, "im": 0.0}},
+            {"n": 2, "terms": [[[], 1.0, 0.0]]},
+            {"n": 2, "terms": [{"I": [1.5], "re": 1.0, "im": 0.0}]},
+            {"n": 2, "terms": [{"I": [True], "re": 1.0, "im": 0.0}]},
+            {"n": 2, "terms": [{"I": [1], "re": 1.0, "im": 0.0},
+                               {"I": [1], "re": 2.0, "im": 0.0}]},
+            {"n": 2, "terms": [{"I": [1], "re": math.inf, "im": 0.0}]},
         ],
     )
     def test_malformed_payloads_raise(self, payload):
@@ -553,3 +575,49 @@ class TestOperatorProtocol:
     def test_unsupported_operand_raises_type_error(self, op):
         with pytest.raises(TypeError):
             op(ELEMENT_U)
+
+
+class TestArgumentChecks:
+    """Constructors and methods refuse what no element can be built from."""
+
+    def test_constructors_refuse_bad_shapes(self):
+        with pytest.raises(ValueError, match="generator count"):
+            ZeonElement(64)
+        with pytest.raises(ValueError, match="outside 1..3"):
+            ZeonElement.generator(3, 0)
+        with pytest.raises(ValueError, match="repeated generator index 1"):
+            ZeonElement.blade(3, [1, 1])
+
+    def test_negative_power_and_grade_refused(self):
+        u = Z(2, {0: 2, 1: 1})
+        with pytest.raises(ValueError, match="inverse"):
+            u.pow(-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            u.grade_part(-1)
+
+    def test_operands_in_different_algebras(self):
+        with pytest.raises(DimensionMismatch):
+            Z(2, {0: 1}).add(Z(3, {0: 1}))
+
+    @pytest.mark.parametrize("other", [1.0, "1", None, [1], Z(3, {0: 1})])
+    def test_allclose_is_false_against_foreign_values(self, other):
+        assert not Z(2, {0: 1}).allclose(other)
+
+    def test_first_root_is_the_element(self):
+        u = Z(2, {0: 2, 1: 1})
+        assert u.kth_root(1) is u
+
+    def test_top_blade_without_generators_is_the_scalar(self):
+        assert ZeonElement.top_blade(0, 2 - 1j).terms == {0: 2 - 1j}
+
+    def test_nilpotency_index_refuses_a_tiny_invertible_scalar(self):
+        # 1e-10 is below scalar_zero, so the element passes as nilpotent, but
+        # with compare = 1e-30 its powers never vanish: u^3 still holds 3e-20 z1
+        tol = Tolerances(prune=1e-30, compare=1e-30, scalar_zero=1e-9)
+        with pytest.raises(ZeonError, match="exceeded n \\+ 1"):
+            Z(1, {0: 1e-10, 1: 1}).nilpotency_index(tol)
+
+    def test_str_and_repr(self):
+        u = Z(3, {0: 5, 0b111: -4})
+        assert str(u) == "5 - 4*z[1,2,3]"
+        assert repr(u) == "<ZeonElement n=3: 5 - 4*z[1,2,3]>"

@@ -149,6 +149,10 @@ class TestRoot:
         assert code == 1
         assert json.loads(out)["error"] == "usage"
 
+    def test_non_positive_k_exits_1(self):
+        code, out, err = run_cli("root", "-k", "0", fixture("elem_invertible.json"))
+        assert (code, json.loads(out)["error"], err) == (1, "parse", "")
+
     def test_nilpotent_exits_2(self):
         payload = json.dumps(ZeonElement(2, {1: 1}).to_json())
         code, out, _ = run_cli("root", "-k", "2", stdin_text=payload)
@@ -167,6 +171,17 @@ class TestPolyCommands:
         phi = ZeonPolynomial.from_json(pair["dividend"])
         psi = ZeonPolynomial.from_json(pair["divisor"])
         assert quot.mul(psi).add(rem).allclose(phi)
+
+    def test_polydiv_without_divisor_exits_1(self):
+        payload = json.dumps({"dividend": ZeonPolynomial.from_scalars(1, [1, 1]).to_json()})
+        code, out, err = run_cli("polydiv", stdin_text=payload)
+        assert (code, json.loads(out)["error"], err) == (1, "parse", "")
+
+    def test_polyzero_unparsable_lambda_exits_1(self):
+        # a usage error: argparse's usage line goes to stderr, the error object to stdout
+        code, out, err = run_cli("polyzero", "--lambda0", "abc", fixture("poly_quartic.json"))
+        assert (code, json.loads(out)["error"]) == (1, "usage")
+        assert err.startswith("usage: zeon polyzero")
 
     def test_polyzero_shadow_report(self):
         code, out, _ = run_cli("polyzero", fixture("poly_quartic.json"))
@@ -321,6 +336,12 @@ class TestEigenAndSpectral:
         assert len(blob["eigenvalues"]) == 1
         assert ZeonElement.from_json(blob["eigenvalues"][0]).allclose(
             ZeonElement.scalar(2, -1))
+
+    def test_eigen_refuses_a_lift_that_is_no_eigenvalue(self):
+        a = ZeonMatrix.from_json(json.loads(
+            pathlib.Path(fixture("mat_spectral.json")).read_text())).scale(3e-5)
+        code, out, _ = run_cli("eigen", stdin_text=json.dumps(a.to_json()))
+        assert (code, json.loads(out)["error"]) == (2, "no_convergence")
 
     def test_spectral_end_to_end(self):
         code, out, _ = run_cli("spectral", fixture("mat_spectral.json"))

@@ -235,6 +235,24 @@ class TestMatrixBasics:
         with pytest.raises(TypeError, match="ZeonElement"):
             build()
 
+    def test_ragged_rows_raise(self):
+        one = ZeonElement.one(1)
+        with pytest.raises(DimensionMismatch, match="ragged"):
+            ZeonMatrix([[one, one], [one]])
+
+    def test_non_square_is_not_self_adjoint(self):
+        assert not ZeonMatrix.zero(2, 3, 1).is_self_adjoint()
+
+    @pytest.mark.parametrize("other", [ZeonMatrix.identity(2, 2), ZeonMatrix.zero(2, 3, 1),
+                                       ZeonElement.one(1), None])
+    def test_allclose_is_false_across_shapes_and_types(self, other):
+        assert not ZeonMatrix.identity(2, 1).allclose(other)
+
+    def test_pretty_and_repr(self):
+        a = ZeonMatrix([[Z(1, {0: 2, 1: -1}), ZeonElement.zero(1)]])
+        assert a.pretty() == "[2 - z[1], 0]"
+        assert repr(a) == "<ZeonMatrix 1x2 n=1>"
+
 
 class TestElimination:
     def test_identity_needs_no_ops(self):
@@ -594,6 +612,7 @@ class TestSerializationLinalg:
             lambda b: b.__setitem__("rows", 5),
             lambda b: b["entries"][0].pop(),
             lambda b: b["entries"][0][0].__setitem__("n", 7),
+            lambda b: b.__setitem__("rows", 0),
         ],
     )
     def test_malformed_matrix_payloads(self, mutate):
@@ -602,6 +621,11 @@ class TestSerializationLinalg:
         mutate(blob)
         with pytest.raises(ParseError):
             ZeonMatrix.from_json(blob)
+
+    @pytest.mark.parametrize("payload", [[], "matrix", 3])
+    def test_matrix_payload_must_be_an_object(self, payload):
+        with pytest.raises(ParseError, match="JSON object"):
+            ZeonMatrix.from_json(payload)
 
     def test_vector_requires_single_column(self):
         rng = random.Random(229)

@@ -11,8 +11,10 @@ import zeonalg.poly as poly
 
 from zeonalg import (
     ComplexPolynomial,
+    DimensionMismatch,
     DoesNotSplitError,
     NonConvergenceError,
+    ParseError,
     PolyDivisionError,
     SpectralSimplicityError,
     Tolerances,
@@ -566,6 +568,85 @@ class TestPolySerialization:
         p = ZeonPolynomial.from_scalars(2, [3, 0, 1])
         text = p.pretty()
         assert "u^2" in text and "3" in text
+
+    @pytest.mark.parametrize("payload", [
+        [{"n": 1, "terms": []}],
+        {"n": 1},
+        {"n": 1, "coeffs": []},
+        {"n": 1, "coeffs": [{"n": 1, "terms": []}, {"n": 2, "terms": []}]},
+    ], ids=["not-an-object", "no-coeffs", "empty-coeffs", "coefficient-on-other-n"])
+    def test_malformed_payloads_raise(self, payload):
+        with pytest.raises(ParseError):
+            ZeonPolynomial.from_json(payload)
+
+    def test_pretty_forms(self):
+        assert ZeonPolynomial.from_scalars(1, [-2, 0, 1]).pretty() == "u^2 - 2"
+        assert ZeonPolynomial([Z(2, {0: 1, 1: -2}), Z(2, {0: -3}), Z(2, {0: 1})]).pretty() \
+            == "u^2 - 3*u + (1 - 2*z[1])"
+        assert ZeonPolynomial([ZeonElement.zero(1)]).pretty() == "0"
+
+    def test_reprs(self):
+        assert repr(ZeonPolynomial.from_scalars(1, [-2, 0, 1])) \
+            == "<ZeonPolynomial degree=2 n=1: u^2 - 2>"
+        assert repr(ComplexPolynomial([1, 2j])) == "<ComplexPolynomial ['1', '0+2j']>"
+
+
+class TestArgumentChecks:
+    """Constructors and operations refuse what no polynomial result can be built from."""
+
+    @pytest.mark.parametrize("build, error", [
+        (lambda: ZeonPolynomial([]), ValueError),
+        (lambda: ZeonPolynomial([2.0]), TypeError),
+        (lambda: ZeonPolynomial([ZeonElement.one(1), 2.0]), TypeError),
+        (lambda: ZeonPolynomial([ZeonElement.one(1), ZeonElement.one(2)]), DimensionMismatch),
+        (lambda: ZeonPolynomial.from_roots([]), ValueError),
+        (lambda: ComplexPolynomial([]), ValueError),
+    ], ids=["empty", "first-not-element", "later-not-element", "mixed-n", "no-roots",
+            "empty-complex"])
+    def test_constructors_refuse(self, build, error):
+        with pytest.raises(error):
+            build()
+
+    def test_operands_in_different_algebras(self):
+        phi = ZeonPolynomial.from_scalars(1, [-2, 0, 1])
+        psi = ZeonPolynomial.from_scalars(2, [1, 1])
+        with pytest.raises(DimensionMismatch):
+            phi.add(psi)
+        with pytest.raises(DimensionMismatch):
+            phi.evaluate(ZeonElement.one(2))
+        with pytest.raises(DimensionMismatch):
+            poly_divide(phi, psi)
+        with pytest.raises(DimensionMismatch):
+            multiple_zero_family(phi, ZeonElement.one(2), 1.0)
+
+    def test_allclose_is_false_against_foreign_values(self):
+        phi = ZeonPolynomial.from_scalars(1, [-2, 0, 1])
+        assert not phi.allclose(ZeonPolynomial.from_scalars(2, [-2, 0, 1]))
+        assert not phi.allclose(ZeonElement.one(1))
+
+    def test_product_skips_zero_coefficients(self):
+        phi, psi = (ZeonPolynomial.from_scalars(1, c) for c in ([-2, 0, 1], [1, 0, 1]))
+        assert phi.mul(psi).allclose(ZeonPolynomial.from_scalars(1, [-2, 0, -1, 0, 1]))
+
+    def test_lift_refuses_a_constant_polynomial(self):
+        with pytest.raises(ZeonError, match="constant polynomial"):
+            lift_simple_zero(ZeonPolynomial.from_scalars(1, [3]), 0.0)
+
+    def test_monic_refuses_a_nilpotent_lead(self):
+        with pytest.raises(PolyDivisionError):
+            ZeonPolynomial([Z(1, {0: 1}), Z(1, {1: 1})]).monic()
+
+    def test_lower_degree_dividend_is_the_remainder(self):
+        phi = ZeonPolynomial([Z(1, {0: 2, 1: 1})])
+        quotient, remainder = poly_divide(phi, ZeonPolynomial.from_scalars(1, [-2, 0, 1]))
+        assert quotient.allclose(ZeonPolynomial([ZeonElement.zero(1)]))
+        assert remainder is phi
+
+    def test_complex_polynomial_derivative_and_equality(self):
+        assert ComplexPolynomial([3]).derivative() == ComplexPolynomial([0])
+        assert ComplexPolynomial([1, 2]) == ComplexPolynomial([1, 2, 0])
+        assert ComplexPolynomial([1, 2]) != ComplexPolynomial([1, 3])
+        assert ComplexPolynomial([1]) != [1]
 
 
 def table_form(monkeypatch, on):

@@ -148,6 +148,18 @@ class TestEigenvalues:
         assert len(values) == 1
         assert abs(values[0].scalar_part() - 2) <= 1e-9
 
+    def test_lift_with_a_full_rank_shadow_is_refused(self, spectral_matrix):
+        # at x3e-5 chi_A's constant term, about 5.4e-13, falls under the prune,
+        # and the lift lands on 1.8e-4, a zero of the pruned polynomial only
+        assert len(eigenvalues(spectral_matrix)) == 3
+        with pytest.raises(NonConvergenceError, match="above 0.00018") as info:
+            eigenvalues(spectral_matrix.scale(3e-5))
+        assert abs(info.value.report.scalar_part() - 1.8e-4) <= 1e-9
+
+    def test_non_square_refused_by_name(self):
+        with pytest.raises(DimensionMismatch, match="eigenvalue extraction needs a square"):
+            eigenvalues(ZeonMatrix.zero(2, 3, 1))
+
     def test_self_adjoint_spectrum_is_self_conjugate(self):
         rng = random.Random(337)
         for _ in range(8):
@@ -242,6 +254,26 @@ class TestEigenvectors:
             vec = eigenvector(a, value)
             assert a.mul(vec).sub(vec.scale(value)).norm_inf() <= 1e-9
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e10, 1e14])
+    def test_scaled_diagonal(self, scale):
+        # S is divided down to the border row's scale; with a unit border on
+        # S itself, M_0 fell under mat_inverse's relative rank test past 1e9
+        d = ZeonMatrix.diagonal([ZeonElement.scalar(2, scale), ZeonElement.scalar(2, 2 * scale)])
+        assert eigenvector(d, scale).allclose(ZeonVector.unit(2, 2, 0))
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e10, 1e14])
+    def test_scaled_matrices(self, spectral_matrix, scale):
+        a = spectral_matrix.scale(scale)
+        for value in eigenvalues(spectral_matrix):
+            vec = eigenvector(a, value.scale(scale))
+            residual = a.mul(vec).sub(vec.scale(value.scale(scale))).norm_inf()
+            assert residual <= 1e-9 * max(1.0, a.norm_inf())
+            assert any(e.is_invertible() for e in vec.entries)
+
+    def test_value_in_another_algebra_rejected(self, spectral_matrix):
+        with pytest.raises(DimensionMismatch, match="different algebra"):
+            eigenvector(spectral_matrix, ZeonElement.scalar(2, 5))
+
     def test_shadow_rank_two_below_full_rejected(self):
         n = 2
         a = ZeonMatrix.diagonal([Z(n, {0: 1, 1: 0.5}), Z(n, {0: 1, 2: 0.25}), Z(n, {0: 3})])
@@ -286,6 +318,10 @@ class TestProjections:
             resolution_of_identity([v, ZeonVector.unit(2, 2, 1)])
         with pytest.raises(DimensionMismatch):
             resolution_of_identity([v, ZeonVector.unit(3, 3, 1)])
+
+    def test_empty_family_rejected(self):
+        with pytest.raises(ValueError, match="at least one vector"):
+            resolution_of_identity([])
 
     def test_non_orthonormal_frame_rejected(self):
         rng = random.Random(367)
