@@ -197,9 +197,10 @@ def _binomial_series(x, alpha: float, one, product, tol: Tolerances):
 
     x^(n+1) = 0 on n generators, so the sum is finite. Powers are taken
     with product(power, x, tol); besides it only add, scale and norm_inf
-    are used, so x can be a ZeonElement (the element product, one = 1), a
-    ZeonMatrix (the matrix product, one = the identity) or a bare
-    coefficient stack (the entrywise product, one = 1 in every entry).
+    are used, so x can be a ZeonElement (the element product, one = 1) or a
+    ZeonMatrix: the matrix product with one = the identity, or, on a
+    stack, the entrywise product with one = 1 in every entry and tol None,
+    which leaves every step unpruned for the caller to prune the sum once.
     """
     acc = one
     power = x
@@ -557,7 +558,7 @@ class ZeonElement:
         """JSON-ready dict: {"n": ..., "terms": [{"I": [...], "re": ..., "im": ...}]}."""
         terms = []
         for mask in sorted(self.terms, key=blade_key):
-            c = self.terms[mask]
+            c = self.terms[mask] + 0j  # a -0.0 part as 0.0, whichever kernel or order made it
             terms.append({"I": list(indices_from_mask(mask)), "re": c.real, "im": c.imag})
         return {"n": self.n, "terms": terms}
 

@@ -286,12 +286,12 @@ class ZeonMatrix:
 
     For n <= _DENSE_MAX_N a matrix can also hold its coefficients as a
     (2^n, rows, cols) complex stack; only those past the size rule
-    (_stack_sized) build one themselves. Arithmetic runs on the stacks
-    whenever an operand already holds one; a product of two element
-    grids builds their stacks when _use_stack picks the stack kernel.
-    Results of stack arithmetic build their entries only when read.
-    Both forms are canonical: no kept coefficient is below the prune
-    tolerance of the operation that made it.
+    (_stack_sized) build one themselves. Arithmetic, and the joins of
+    _hstack, run on the stacks whenever an operand already holds one; a
+    product of two element grids builds their stacks when _use_stack picks
+    the stack kernel. Results of stack arithmetic build their entries only
+    when read. Both forms are canonical: no kept coefficient is below the
+    prune tolerance of the operation that made it.
     """
 
     __slots__ = ("rows", "cols", "n", "_entries", "_stack")
@@ -330,7 +330,8 @@ class ZeonMatrix:
     @classmethod
     def _from_stack(cls, stack: np.ndarray, n: int, tol: Tolerances | None) -> "ZeonMatrix":
         # Internal: adopt a stack made by arithmetic, pruned here, or as it
-        # is when tol is None because it is already pruned.
+        # is when tol is None: it is already pruned, or it is a step of a sum
+        # that its caller prunes once (add, scale and _entrywise pass tol on).
         if tol is not None:
             _prune(stack, tol)
         obj = cls.__new__(cls)
@@ -536,8 +537,8 @@ class ZeonMatrix:
     def _entrywise_power(self, alpha: float, tol: Tolerances) -> "ZeonMatrix":
         # Internal: every entry u = c (1 + x) to c^alpha (1 + x)^alpha, c its scalar part,
         # by the one binomial series of ZeonElement._power: on a grid, that method per
-        # entry; on a stack, the series on the bare coefficient arrays (_BareStack), its
-        # sum pruned once, here.
+        # entry; on a stack, the series on this matrix's entrywise product with tol None,
+        # so that no step prunes and the sum is pruned once, here.
         n = self.n
         if not self._on_stack():
             return ZeonMatrix._wrap(tuple(tuple(e._power(alpha, tol) for e in row)
@@ -551,9 +552,9 @@ class ZeonMatrix:
         x[0] = 0
         one = np.zeros_like(x)
         one[0] = 1
-        series = _binomial_series(_BareStack(x, n), alpha, _BareStack(one, n),
-                                  _BareStack.entrywise, tol)
-        return ZeonMatrix._from_stack(series.stack * power, n, tol)
+        x, one = (ZeonMatrix._from_stack(s, n, None) for s in (x, one))
+        series = _binomial_series(x, alpha, one, ZeonMatrix._entrywise, None)
+        return ZeonMatrix._from_stack(series._stack * power, n, tol)
 
     def _map(self, on_stack, on_element) -> "ZeonMatrix":
         # Internal: an entrywise map that keeps every magnitude, so a pruned
@@ -664,38 +665,12 @@ class ZeonMatrix:
         return f"<ZeonMatrix {self.rows}x{self.cols} n={self.n}>"
 
 
-class _BareStack:
-    """A coefficient stack with the arithmetic _binomial_series uses, unpruned.
-
-    Each operation is one numpy call on the (2^n, rows, cols) array, with
-    none of a ZeonMatrix's dispatch or per-result prune; the caller prunes
-    the sum.
-    """
-
-    __slots__ = ("stack", "n")
-
-    def __init__(self, stack: np.ndarray, n: int):
-        self.stack = stack
-        self.n = n
-
-    def norm_inf(self) -> float:
-        return float(np.abs(self.stack).max())
-
-    def add(self, other: "_BareStack", tol: Tolerances) -> "_BareStack":
-        return _BareStack(self.stack + other.stack, self.n)
-
-    def scale(self, value: float, tol: Tolerances) -> "_BareStack":
-        return _BareStack(self.stack * value, self.n)
-
-    def entrywise(self, other: "_BareStack", tol: Tolerances) -> "_BareStack":
-        return _BareStack(_convolve(self.n, self.stack, other.stack, np.multiply), self.n)
-
-
 def _hstack(blocks: Sequence[ZeonMatrix]) -> ZeonMatrix:
-    """Matrices of equal row count and n side by side, on their stacks when all hold one."""
+    """Matrices of equal row count and n side by side; by the arithmetic rule,
+    on their stacks when any block holds one."""
     n = blocks[0].n
-    if all(b._stack is not None for b in blocks):
-        return ZeonMatrix._from_stack(np.concatenate([b._stack for b in blocks], axis=2), n, None)
+    if any(b._on_stack() for b in blocks):
+        return ZeonMatrix._from_stack(np.concatenate([b._coeffs() for b in blocks], 2), n, None)
     return ZeonMatrix._wrap(tuple(sum(rows, ()) for rows in zip(*(b.entries for b in blocks))), n)
 
 

@@ -104,8 +104,9 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
     |det M_0| proportional to |u_r| |w_f|, so it is invertible, and M x = e_r
     means S x = 0 off row r and x_f = 1: x is column r of M^-1. The power
     of two s >= max(1, largest singular value of S_0) keeps mat_inverse's
-    relative rank test blind to A's scale. Row r holds exactly when the
-    value is an eigenvalue of A, which the residual test checks.
+    relative rank test blind to A's scale. M = S o K + e_r e_f-transpose is
+    built in S's form, K holding 1/s off row r and 0 on it. Row r holds
+    exactly when the value is an eigenvalue of A, which the residual test checks.
     """
     matrix._require_square("eigenvector extraction")
     m, n = matrix.rows, matrix.n
@@ -123,9 +124,9 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
     free = int(np.argmax(np.abs(right[-1])))
     dropped = int(np.argmax(np.abs(left[:, -1])))
     size = 2.0 ** max(0, math.frexp(float(singular_values[0]))[1])
-    bordered = list(shifted.scale(1 / size, tol).entries)
-    bordered[dropped] = ZeonVector.unit(m, n, free).entries
-    inverse = mat_inverse(ZeonMatrix._wrap(tuple(bordered), n), tol)
+    border = outer(ZeonVector.unit(m, n, dropped), ZeonVector.unit(m, n, free), tol)
+    scales = [[0.0 if i == dropped else 1 / size] * m for i in range(m)]
+    inverse = mat_inverse(shifted._entrywise(scales, tol).add(border, tol), tol)
     vec = ZeonVector._of(inverse._block(range(m), [dropped]))
     residual = shifted.mul(vec, tol).norm_inf()
     if residual > tol.compare * max(1.0, shifted.norm_inf()) * m:
@@ -301,8 +302,6 @@ def _refine(matrix: ZeonMatrix, tol: Tolerances):
             f"shadow spectrum is not simple ({desc}); no unique decomposition")
 
     x = ZeonMatrix.from_scalar_matrix(vectors, n, tol)
-    if matrix._stack is not None:
-        x._coeffs()  # so that Z below, and with it every pass, stays on the input's stack
     two = ZeonMatrix.from_scalar_matrix([[2.0] * m] * m, n, tol)
     w = ZeonMatrix.from_scalar_matrix([[0.0 if i == j else 1 / (vj - vi)
                                         for j, vj in enumerate(values)]

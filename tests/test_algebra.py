@@ -512,6 +512,29 @@ class TestSerialization:
         with pytest.raises(ParseError):
             ZeonElement.from_json(payload)
 
+    def test_signed_zeros_are_written_as_zero(self):
+        # the array kernel leaves -0.0 in the scalar term's imaginary part
+        # of the dense product, the loop over stored terms 0.0
+        n = 4
+        dense = Z(n, {m: -1 if m == 0 else 0.25 for m in range(1 << n)}).mul(
+            Z(n, {m: -2 if m == 0 else 0.5 for m in range(1 << n)}))
+        sparse = Z(n, {0: -1, 1: 0.25}).mul(Z(n, {0: -2, 2: 0.5}))
+        assert math.copysign(1.0, dense.terms[0].imag) == -1.0
+        blobs = [json.dumps(u.to_json()) for u in (dense, sparse)]
+        assert all("-0.0" not in blob for blob in blobs)
+        assert [json.loads(blob)["terms"][0] for blob in blobs] == [
+            {"I": [], "re": 2.0, "im": 0.0}] * 2
+        a, b = dense.terms, sparse.terms
+        on_loop = ZeonElement(n, _dict_mul(a, b, {}))
+        on_array = ZeonElement(n, dict(enumerate(_dense_product(n, a, b))))
+        assert json.dumps(on_loop.to_json()) == json.dumps(on_array.to_json())
+
+    def test_non_finite_parts_pass_through_json(self):
+        u = ZeonElement._wrap(1, {0: complex(math.inf, -0.0), 1: complex(math.nan, -math.inf)})
+        terms = u.to_json()["terms"]
+        assert (terms[0]["re"], terms[0]["im"], terms[1]["im"]) == (math.inf, 0.0, -math.inf)
+        assert math.copysign(1.0, terms[0]["im"]) == 1.0 and math.isnan(terms[1]["re"])
+
     def test_oracle_round_trip_through_dense(self):
         rng = random.Random(67)
         u = rand_element(rng, 5, terms=7)

@@ -16,6 +16,7 @@ from zeonalg import (
 )
 
 from oracles import split_n16_roots
+from test_cold_start import dense_matrix_file
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -319,6 +320,19 @@ class TestEigenAndSpectral:
         assert len(blob["eigenvalues"]) == 3
         a = ZeonMatrix.from_json(json.loads(
             pathlib.Path(fixture("mat_spectral.json")).read_text()))
+        for val_blob, vec_blob in zip(blob["eigenvalues"], blob["eigenvectors"]):
+            value = ZeonElement.from_json(val_blob)
+            vec = ZeonVector.from_json(vec_blob)
+            assert a.mul(vec).sub(vec.scale(value)).norm_inf() <= 1e-8
+
+    def test_eigen_past_the_size_rule(self, tmp_path):
+        # a dense self-adjoint 3 x 3 at n = 4 holds its products on stacks
+        path = dense_matrix_file(tmp_path, 4, self_adjoint=True)
+        code, out, _ = run_cli("eigen", str(path))
+        assert code == 0
+        blob = json.loads(out)
+        assert len(blob["eigenvalues"]) == 3
+        a = ZeonMatrix.from_json(json.loads(path.read_text()))
         for val_blob, vec_blob in zip(blob["eigenvalues"], blob["eigenvectors"]):
             value = ZeonElement.from_json(val_blob)
             vec = ZeonVector.from_json(vec_blob)

@@ -43,6 +43,7 @@ from oracles import (
     rand_self_adjoint,
     rand_vector,
 )
+from test_cold_start import dense_matrix_file
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -273,6 +274,20 @@ class TestEigenvectors:
     def test_value_in_another_algebra_rejected(self, spectral_matrix):
         with pytest.raises(DimensionMismatch, match="different algebra"):
             eigenvector(spectral_matrix, ZeonElement.scalar(2, 5))
+
+    def test_stack_held_matrix_gives_a_stack_held_vector(self, tmp_path):
+        # the bordered matrix is built in S's form, so a dense input held on
+        # its stack at n = 5 stays there, and agrees with the grid-held input
+        a = ZeonMatrix.from_json(json.loads(
+            dense_matrix_file(tmp_path, 5, self_adjoint=True).read_text()))
+        held = ZeonMatrix(a.entries)
+        held._coeffs()
+        for value in eigenvalues(ZeonMatrix(a.entries)):
+            from_stack = eigenvector(held, value)
+            from_grid = eigenvector(ZeonMatrix(a.entries), value)
+            assert from_stack.matrix._stack is not None
+            assert ZeonMatrix(from_grid.matrix.entries).sub(from_stack.matrix).norm_inf() <= 1e-12
+            assert a.mul(from_stack).sub(from_stack.scale(value)).norm_inf() <= 1e-9
 
     def test_shadow_rank_two_below_full_rejected(self):
         n = 2
@@ -714,7 +729,7 @@ class TestFrame:
         from_grids = spectral._frame(grid)
         mixed = spectral._frame(stacked[:1] + grid[1:])
         assert (from_stacks._stack is not None) == (n <= 8)
-        assert from_grids._stack is None and mixed._stack is None
+        assert from_grids._stack is None and (mixed._stack is not None) == (n <= 8)
 
         def terms(matrix):
             return [[e.terms for e in row] for row in matrix.entries]
