@@ -26,8 +26,8 @@ from .tolerances import DEFAULT, Tolerances
 _EPS = 2.0 ** -52
 _MAX_ITER = 200
 _STEP_TOL = 1e-14
-_CLUSTER_REL = 1e-6       # first-pass merge radius for root clusters
-_WIDE_CLUSTER_REL = 1e-3  # second pass, only for derivative-degenerate clusters
+_CLUSTER_REL = 1e-6       # merge radius for two Aberth iterates of one root
+_WIDE_CLUSTER_REL = 1e-3  # for pairs where f' fails the simplicity floor at both iterates
 _SIMPLE_REL = 1e-8        # |f'(root)| above this (scaled) counts as simple
 # A lift forms its residual on the Taylor table (_TaylorTable) when the monic
 # polynomial's table, (degree + 1) x |S| cells for S the union of its stored
@@ -94,7 +94,7 @@ class ZeonPolynomial:
         n = roots[0].n
         poly = cls([ZeonElement.one(n)])
         for w in roots:
-            poly = poly.mul(cls([w.scale(-1), ZeonElement.one(n)]), tol)
+            poly = poly.mul(cls([w.scale(-1, tol), ZeonElement.one(n)]), tol)
         return poly
 
     @property
@@ -153,8 +153,7 @@ class ZeonPolynomial:
         lead = self.leading
         if not lead.is_invertible(tol):
             raise PolyDivisionError("leading coefficient is not invertible")
-        one_diff = lead.sub(ZeonElement.one(self.n))
-        if not one_diff.terms:
+        if not lead.sub(ZeonElement.one(self.n), tol).terms:
             return self
         return self.scale(lead.inverse(tol), tol)
 
@@ -323,22 +322,6 @@ def _abs_horner(abs_coeffs: Sequence[float], r: float) -> float:
     return acc
 
 
-class _UnionFind:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def _shadow_zero(f: ComplexPolynomial, df: ComplexPolynomial, z: complex) -> tuple[bool, bool]:
     """The shadow-zero test: is z a zero of f, and does f' clear the simplicity floor at z.
 
@@ -351,50 +334,37 @@ def _shadow_zero(f: ComplexPolynomial, df: ComplexPolynomial, z: complex) -> tup
 
 
 def _cluster_report(points: list[complex], monic: ComplexPolynomial,
-                    iterations: int) -> RootReport:
-    """Merge converged iterates into roots with multiplicities.
+                    dmonic: ComplexPolynomial, iterations: int) -> RootReport:
+    """Merge converged iterates into roots with multiplicities, in one pass over pairs.
 
-    First pass merges at the standard relative radius. A multiple zero
-    cannot be located more tightly than the float noise allows (its
-    iterates scatter like eps^(1/multiplicity)), so a second pass merges
-    clusters whose derivative already fails the simplicity test, using a
-    wider radius.
+    Two iterates join one root when they lie within _CLUSTER_REL of each
+    other (relative), or within _WIDE_CLUSTER_REL when f' fails the
+    simplicity floor at both: a multiple zero cannot be located more
+    tightly than the float noise allows (its iterates scatter like
+    eps^(1/multiplicity)). Roots close transitively; each is the mean of
+    its iterates, and it is simple when it holds one iterate at which f'
+    clears the floor.
     """
     d = len(points)
-    dmonic = monic.derivative()
-    uf = _UnionFind(d)
+    degenerate = [not _shadow_zero(monic, dmonic, z)[1] for z in points]
+    label = list(range(d))
     for a in range(d):
         for b in range(a + 1, d):
-            gap = abs(points[a] - points[b])
-            if gap <= _CLUSTER_REL * (1.0 + (abs(points[a]) + abs(points[b])) / 2):
-                uf.union(a, b)
-
-    def components() -> dict[int, list[int]]:
-        comps: dict[int, list[int]] = {}
-        for idx in range(d):
-            comps.setdefault(uf.find(idx), []).append(idx)
-        return comps
-
-    comps = components()
-    means = {root: sum(points[i] for i in members) / len(members)
-             for root, members in comps.items()}
-    degenerate = [root for root, mean in means.items()
-                  if not _shadow_zero(monic, dmonic, mean)[1]]
-    for a_i in range(len(degenerate)):
-        for b_i in range(a_i + 1, len(degenerate)):
-            za, zb = means[degenerate[a_i]], means[degenerate[b_i]]
-            if abs(za - zb) <= _WIDE_CLUSTER_REL * (1.0 + (abs(za) + abs(zb)) / 2):
-                uf.union(degenerate[a_i], degenerate[b_i])
-    comps = components()
-
+            za, zb = points[a], points[b]
+            rel = _WIDE_CLUSTER_REL if degenerate[a] and degenerate[b] else _CLUSTER_REL
+            if label[a] != label[b] and abs(za - zb) <= rel * (1.0 + (abs(za) + abs(zb)) / 2):
+                gone, kept = label[b], label[a]
+                label = [kept if lab == gone else lab for lab in label]
+    clusters: dict[int, list[int]] = {}
+    for idx, lab in enumerate(label):
+        clusters.setdefault(lab, []).append(idx)
     roots = []
     residual = 0.0
-    for members in comps.values():
+    for members in clusters.values():
         value = sum(points[i] for i in members) / len(members)
-        mult = len(members)
-        simple = mult == 1 and _shadow_zero(monic, dmonic, value)[1]
+        simple = len(members) == 1 and not degenerate[members[0]]
         residual = max(residual, abs(monic(value)))
-        roots.append(PolyRoot(value, mult, simple))
+        roots.append(PolyRoot(value, len(members), simple))
     roots.sort(key=lambda r: (-r.value.real, -r.value.imag))
     return RootReport(tuple(roots), residual, iterations)
 
@@ -455,10 +425,10 @@ def complex_roots(poly, tol: Tolerances = DEFAULT) -> RootReport:
             if abs(step) > _STEP_TOL * (1.0 + abs(points[j])):
                 done = False
         if done:
-            return _cluster_report(points, monic, it)
+            return _cluster_report(points, monic, dmonic, it)
     raise NonConvergenceError(
         f"root iteration did not converge within {_MAX_ITER} passes",
-        report=_cluster_report(points, monic, _MAX_ITER))
+        report=_cluster_report(points, monic, dmonic, _MAX_ITER))
 
 
 def poly_divide(phi: ZeonPolynomial, psi: ZeonPolynomial,

@@ -12,6 +12,8 @@ import cmath
 import itertools
 
 from zeonalg import ZeonElement, ZeonMatrix, ZeonVector, inner_product, orthonormalize, outer
+from zeonalg.poly import (_CLUSTER_REL, _WIDE_CLUSTER_REL, ComplexPolynomial, PolyRoot,
+                          RootReport, _shadow_zero)
 
 
 def to_dense(elem: ZeonElement) -> list[complex]:
@@ -320,3 +322,68 @@ def generator_roots(n: int, degree: int, gens: list[int], shared: int) -> list[Z
 def split_n16_roots() -> list[ZeonElement]:
     """The planted zeros of fixtures/poly_split_n16.json, in split's order."""
     return generator_roots(16, 8, [1, 3, 5, 7, 9, 11, 13, 15], 16)
+
+
+class UnionFind:
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+
+    def find(self, a: int) -> int:
+        while self.parent[a] != a:
+            self.parent[a] = self.parent[self.parent[a]]
+            a = self.parent[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[rb] = ra
+
+
+def union_find_cluster_report(points: list[complex], monic: ComplexPolynomial,
+                              iterations: int) -> RootReport:
+    """Merge converged iterates into roots with multiplicities, in two passes.
+
+    The reference for poly._cluster_report's one pass over pairs. First
+    pass merges at the standard relative radius. A multiple zero cannot be
+    located more tightly than the float noise allows (its iterates scatter
+    like eps^(1/multiplicity)), so a second pass merges clusters whose
+    derivative already fails the simplicity test, using a wider radius.
+    """
+    d = len(points)
+    dmonic = monic.derivative()
+    uf = UnionFind(d)
+    for a in range(d):
+        for b in range(a + 1, d):
+            gap = abs(points[a] - points[b])
+            if gap <= _CLUSTER_REL * (1.0 + (abs(points[a]) + abs(points[b])) / 2):
+                uf.union(a, b)
+
+    def components() -> dict[int, list[int]]:
+        comps: dict[int, list[int]] = {}
+        for idx in range(d):
+            comps.setdefault(uf.find(idx), []).append(idx)
+        return comps
+
+    comps = components()
+    means = {root: sum(points[i] for i in members) / len(members)
+             for root, members in comps.items()}
+    degenerate = [root for root, mean in means.items()
+                  if not _shadow_zero(monic, dmonic, mean)[1]]
+    for a_i in range(len(degenerate)):
+        for b_i in range(a_i + 1, len(degenerate)):
+            za, zb = means[degenerate[a_i]], means[degenerate[b_i]]
+            if abs(za - zb) <= _WIDE_CLUSTER_REL * (1.0 + (abs(za) + abs(zb)) / 2):
+                uf.union(degenerate[a_i], degenerate[b_i])
+    comps = components()
+
+    roots = []
+    residual = 0.0
+    for members in comps.values():
+        value = sum(points[i] for i in members) / len(members)
+        mult = len(members)
+        simple = mult == 1 and _shadow_zero(monic, dmonic, value)[1]
+        residual = max(residual, abs(monic(value)))
+        roots.append(PolyRoot(value, mult, simple))
+    roots.sort(key=lambda r: (-r.value.real, -r.value.imag))
+    return RootReport(tuple(roots), residual, iterations)

@@ -1,5 +1,6 @@
 """Polynomials over the algebra: evaluation, division, roots, zero lifting."""
 
+import cmath
 import json
 import math
 import pathlib
@@ -30,10 +31,11 @@ from zeonalg import (
 )
 
 from oracles import (dense_mul, dense_one, exactly, generator_roots, rand_element,
-                     sequential_lift, split_n16_roots, to_dense)
+                     sequential_lift, split_n16_roots, to_dense, union_find_cluster_report)
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 TOLS = (poly.DEFAULT, Tolerances(prune=1e-6, compare=1e-6))
+FINE = Tolerances(prune=1e-30, compare=1e-20, scalar_zero=1e-20)
 
 
 def load_fixture(name):
@@ -70,6 +72,34 @@ def random_blade_poly(seed):
                                                         rng.uniform(-1, 1))
         roots.append(Z(n, terms))
     return ZeonPolynomial.from_roots(roots)
+
+
+def shadow_from_roots(roots):
+    """The monic complex polynomial with the given zeros, repeats counted."""
+    coeffs = [1 + 0j]
+    for r in roots:
+        coeffs = [(coeffs[i - 1] if i else 0) - r * (coeffs[i] if i < len(coeffs) else 0)
+                  for i in range(len(coeffs) + 1)]
+    return ComplexPolynomial(coeffs)
+
+
+def planted_shadow(rng):
+    """Degree 2..12 with roots of multiplicity 1..6 at scale 1e-3..1e3.
+
+    Half of the multiple roots are exact repeats; the other half scatter
+    their copies 1e-9..1e-2 (relative) around the first.
+    """
+    scale = 10 ** rng.uniform(-3, 3)
+    degree = rng.randint(2, 12)
+    roots = []
+    while len(roots) < degree:
+        c = complex(rng.uniform(-3, 3), rng.uniform(-3, 3)) * scale
+        mult = min(rng.randint(1, 6), degree - len(roots))
+        sep = 10 ** rng.uniform(-9, -2) * scale if rng.random() < 0.5 else 0.0
+        roots.append(c)
+        roots.extend(c + sep * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+                     for _ in range(mult - 1))
+    return shadow_from_roots(roots)
 
 
 class TestEvaluation:
@@ -113,6 +143,16 @@ class TestEvaluation:
         assert p.leading == ZeonElement.one(2)
         assert p.evaluate(r1).is_zero()
         assert p.evaluate(r2).is_zero()
+
+    def test_from_roots_negates_under_the_callers_prune(self):
+        # DEFAULT's prune, 1e-12, would drop the root's 1e-14 term
+        p = ZeonPolynomial.from_roots([ZeonElement(1, {0: 2, 1: 1e-14}, FINE)], FINE)
+        assert p.coeffs[0].terms == {0: -2, 1: -1e-14}
+
+    def test_monic_tests_the_lead_under_the_callers_prune(self):
+        # DEFAULT's prune would read the lead 1 + 1e-13 z1 as 1
+        p = ZeonPolynomial([Z(1, {0: 2}), ZeonElement(1, {0: 1, 1: 1e-13}, FINE)])
+        assert p.monic(FINE).leading.terms == {0: 1}
 
     def test_arithmetic(self):
         rng = random.Random(239)
@@ -295,6 +335,38 @@ class TestComplexRoots:
     def test_zeon_polynomial_accepted_directly(self):
         report = complex_roots(quartic())
         assert [r.multiplicity for r in report.roots] == [1, 3]
+
+    def test_one_pass_matches_the_union_find_reference(self, monkeypatch):
+        # the same report, bit for bit, as merging at the narrow radius and
+        # then merging cluster means where f' fails the simplicity floor
+        seen = []
+        report = poly._cluster_report
+
+        def spy(points, monic, dmonic, iterations):
+            seen.append((list(points), monic, iterations))
+            return report(points, monic, dmonic, iterations)
+
+        monkeypatch.setattr(poly, "_cluster_report", spy)
+        rng = random.Random(2029)
+        multiple = 0
+        for _ in range(1000):
+            try:
+                got = complex_roots(planted_shadow(rng))
+            except NonConvergenceError as exc:
+                got = exc.report
+            assert repr(got) == repr(union_find_cluster_report(*seen.pop()))
+            multiple += any(r.multiplicity > 1 for r in got.roots)
+        assert multiple >= 500
+
+    def test_quadruple_and_double_root_keep_their_multiplicities(self):
+        # adding each iterate to the first root whose mean lies near it, with
+        # no transitive merge, splits this quadruple root into two doubles
+        quad, double = 1.05 + 2.75j, 1.74 + 1.15j
+        report = complex_roots(shadow_from_roots([quad] * 4 + [double] * 2))
+        assert [r.multiplicity for r in report.roots] == [2, 4]
+        assert not any(r.simple for r in report.roots)
+        assert abs(report.roots[0].value - double) <= 1e-6
+        assert abs(report.roots[1].value - quad) <= 1e-3
 
 
 class TestLiftSimpleZero:

@@ -536,6 +536,14 @@ class TestRefinement:
         a, values, _ = rand_self_adjoint(random.Random(500 + 10 * m + n), m, n)
         assert_recovers(a, values)
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    @pytest.mark.parametrize("m", [5, 6])
+    def test_planted_matrices_on_the_stack_kernels(self, m, n):
+        # past m, n <= 4, at sizes whose products run on coefficient stacks
+        # (the 3^n-pair gather kernel)
+        a, values, _ = rand_self_adjoint(random.Random(2025), m, n)
+        assert_recovers(a, values)
+
     def test_planted_decomposition_on_element_grids(self):
         a, values, _ = rand_self_adjoint(random.Random(419), 3, 9)
         decomp = assert_recovers(a, values)
