@@ -65,6 +65,14 @@ def blade_key(mask: int) -> tuple[int, tuple[int, ...]]:
     return (mask.bit_count(), indices_from_mask(mask))
 
 
+def _json_int(value) -> int:
+    # Internal: a size read from JSON, where only an integer is one; a bool, a
+    # float, a string or any other value is a TypeError, which the readers report.
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def _subset_pairs(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Index tables of subset convolution on n generators, built once per n.
 
@@ -567,9 +575,9 @@ class ZeonElement:
         if not isinstance(data, Mapping):
             raise ParseError("element must be a JSON object")
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"])
             raw_terms = data["terms"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"element needs integer 'n' and a 'terms' list: {exc}") from exc
         if not 0 <= n <= MAX_GENERATORS:
             raise ParseError(f"'n' must be in 0..{MAX_GENERATORS}, got {n}")
@@ -581,9 +589,11 @@ class ZeonElement:
                 raise ParseError("each term must be an object with 'I', 're', 'im'")
             try:
                 indices = list(entry["I"])
-                re = float(entry["re"])
-                im = float(entry["im"])
-            except (KeyError, TypeError, ValueError) as exc:
+                re, im = entry["re"], entry["im"]
+                if type(re) not in (int, float) or type(im) not in (int, float):
+                    raise TypeError(f"'re' and 'im' must be numbers, got {re!r} and {im!r}")
+                value = complex(re, im)  # OverflowError past the float range
+            except (KeyError, TypeError, OverflowError) as exc:
                 raise ParseError(f"bad term {entry!r}: {exc}") from exc
             if any(not isinstance(i, int) or isinstance(i, bool) for i in indices):
                 raise ParseError(f"blade indices must be integers, got {indices!r}")
@@ -595,7 +605,6 @@ class ZeonElement:
                 raise ParseError(str(exc)) from exc
             if mask in terms:
                 raise ParseError(f"duplicate blade {indices!r}")
-            value = complex(re, im)
             if not cmath.isfinite(value):
                 raise ParseError(f"coefficient of blade {indices!r} is not finite: {value}")
             terms[mask] = value

@@ -22,6 +22,7 @@ from .algebra import (
     ZeonElement,
     _binomial_series,
     _convolve,
+    _json_int,
     _mul_into,
     _operator_matmul,
 )
@@ -633,11 +634,9 @@ class ZeonMatrix:
         if not isinstance(data, Mapping):
             raise ParseError("matrix must be a JSON object")
         try:
-            rows = int(data["rows"])
-            cols = int(data["cols"])
-            n = int(data["n"])
+            rows, cols, n = (_json_int(data[key]) for key in ("rows", "cols", "n"))
             raw = data["entries"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"matrix needs 'rows', 'cols', 'n', 'entries': {exc}") from exc
         if rows < 1 or cols < 1:
             raise ParseError("matrix dimensions must be positive")

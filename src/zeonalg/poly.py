@@ -17,7 +17,7 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 from ._numpy import np
-from .algebra import ZeonElement, _signed_sum
+from .algebra import ZeonElement, _json_int, _signed_sum
 from .errors import (DimensionMismatch, DoesNotSplitError, NonConvergenceError,
                      ParseError, PolyDivisionError, SpectralSimplicityError,
                      ZeonError)
@@ -199,9 +199,9 @@ class ZeonPolynomial:
         if not isinstance(data, Mapping):
             raise ParseError("polynomial must be a JSON object")
         try:
-            n = int(data["n"])
+            n = _json_int(data["n"])
             raw = data["coeffs"]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ParseError(f"polynomial needs 'n' and 'coeffs': {exc}") from exc
         if not isinstance(raw, (list, tuple)) or not raw:
             raise ParseError("'coeffs' must be a non-empty list")

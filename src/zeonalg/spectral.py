@@ -19,8 +19,7 @@ from ._numpy import np
 from .algebra import ZeonElement
 from .errors import (DimensionMismatch, NonConvergenceError, NotSelfAdjointError,
                      SpectralSimplicityError, ZeonError)
-from .linalg import (ZeonMatrix, ZeonVector, _full_shadow_rank, _hstack, _shadow_rank,
-                     mat_inverse, outer)
+from .linalg import ZeonMatrix, ZeonVector, _full_shadow_rank, _hstack, _shadow_rank, outer
 from .poly import ZeonPolynomial, _Lifter, _fmt_c, complex_roots
 from .tolerances import DEFAULT, Tolerances
 
@@ -97,16 +96,13 @@ def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonEleme
 def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVector:
     """Kernel vector of S = value I - A for a spectrally simple eigenvalue.
 
-    The shadow S_0 must have rank m - 1; its null vectors w (right) and
-    u (left) then choose the free coordinate f = argmax |w_f| and the
-    dropped equation r = argmax |u_r| (r = f when A is self-adjoint).
-    The bordered matrix M, S / s with row r replaced by e_f-transpose, has
-    |det M_0| proportional to |u_r| |w_f|, so it is invertible, and M x = e_r
-    means S x = 0 off row r and x_f = 1: x is column r of M^-1. The power
-    of two s >= max(1, largest singular value of S_0) keeps mat_inverse's
-    relative rank test blind to A's scale. M = S o K + e_r e_f-transpose is
-    built in S's form, K holding 1/s off row r and 0 on it. Row r holds
-    exactly when the value is an eigenvalue of A, which the residual test checks.
+    S_0 = U Sigma V-adjoint must have rank m - 1; its right null vector w gives
+    f = argmax |w_f| and x_0 = w / w_f. K = V Sigma^+ U-adjoint, then y -> y - y_f x_0,
+    has K S_0 x = x - x_0 when x_f = 1, so the kernel vector is x = sum_j (-K N)^j x_0
+    with N = dual(S), which ends within n + 1 terms as K N is nilpotent. As s K and
+    N / s, s >= max(1, largest singular value) a power of two, K outlives the prune
+    at any scale of A. S x is then a multiple of the left null vector, which the
+    residual test checks is 0: exactly when the value is an eigenvalue of A.
     """
     matrix._require_square("eigenvector extraction")
     m, n = matrix.rows, matrix.n
@@ -122,16 +118,21 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
             f"shadow of (value I - A) has rank {rank}, expected {m - 1}; "
             "the value is not a spectrally simple eigenvalue")
     free = int(np.argmax(np.abs(right[-1])))
-    dropped = int(np.argmax(np.abs(left[:, -1])))
+    start = (right[-1] / right[-1, free]).conj()
     size = 2.0 ** max(0, math.frexp(float(singular_values[0]))[1])
-    border = outer(ZeonVector.unit(m, n, dropped), ZeonVector.unit(m, n, free), tol)
-    scales = [[0.0 if i == dropped else 1 / size] * m for i in range(m)]
-    inverse = mat_inverse(shifted._entrywise(scales, tol).add(border, tol), tol)
-    vec = ZeonVector._of(inverse._block(range(m), [dropped]))
+    pinv = (right[:-1].conj().T * (size / singular_values[:-1])) @ left[:, :-1].conj().T
+    kernel = ZeonMatrix.from_scalar_matrix(np.outer(start, pinv[free]) - pinv, n, tol)  # -s K
+    step = kernel.mul(shifted.dual().scale(1 / size, tol), tol)                           # -K N
+    vec = term = ZeonVector._of(ZeonMatrix.from_scalar_matrix(start[:, None], n, tol))
+    for _ in range(n):
+        term = step.mul(term, tol)
+        if not term.norm_inf():
+            break
+        vec = vec.add(term, tol)
     residual = shifted.mul(vec, tol).norm_inf()
     if residual > tol.compare * max(1.0, shifted.norm_inf()) * m:
         raise ZeonError(
-            f"the bordered solve left residual {residual:.3g}; "
+            f"the kernel series left residual {residual:.3g}; "
             "the value is not an exact eigenvalue of the matrix")
     return vec
 

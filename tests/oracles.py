@@ -10,8 +10,12 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 
-from zeonalg import ZeonElement, ZeonMatrix, ZeonVector, inner_product, orthonormalize, outer
+from zeonalg import (DEFAULT, DimensionMismatch, SpectralSimplicityError, Tolerances, ZeonElement,
+                     ZeonError, ZeonMatrix, ZeonVector, inner_product, mat_inverse,
+                     orthonormalize, outer)
+from zeonalg.linalg import _shadow_rank
 from zeonalg.poly import (_CLUSTER_REL, _WIDE_CLUSTER_REL, ComplexPolynomial, PolyRoot,
                           RootReport, _shadow_zero)
 
@@ -387,3 +391,48 @@ def union_find_cluster_report(points: list[complex], monic: ComplexPolynomial,
         roots.append(PolyRoot(value, mult, simple))
     roots.sort(key=lambda r: (-r.value.real, -r.value.imag))
     return RootReport(tuple(roots), residual, iterations)
+
+
+def bordered_eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVector:
+    """Kernel vector of S = value I - A for a spectrally simple eigenvalue.
+
+    The reference for spectral.eigenvector's kernel series: column r of one
+    bordered inverse. The shadow S_0 must have rank m - 1; its null vectors
+    w (right) and u (left) then choose the free coordinate f = argmax |w_f|
+    and the dropped equation r = argmax |u_r| (r = f when A is self-adjoint).
+    The bordered matrix M, S / s with row r replaced by e_f-transpose, has
+    |det M_0| proportional to |u_r| |w_f|, so it is invertible, and M x = e_r
+    means S x = 0 off row r and x_f = 1: x is column r of M^-1. The power
+    of two s >= max(1, largest singular value of S_0) keeps mat_inverse's
+    relative rank test blind to A's scale. M = S o K + e_r e_f-transpose is
+    built in S's form, K holding 1/s off row r and 0 on it. Row r holds
+    exactly when the value is an eigenvalue of A, which the residual test checks.
+    """
+    import numpy as np
+
+    matrix._require_square("eigenvector extraction")
+    m, n = matrix.rows, matrix.n
+    if not isinstance(value, ZeonElement):
+        value = ZeonElement.scalar(n, value, tol)
+    if value.n != n:
+        raise DimensionMismatch("eigenvalue lives in a different algebra")
+    shifted = ZeonMatrix.diagonal([value] * m).sub(matrix, tol)
+    left, singular_values, right = np.linalg.svd(shifted.scalar_matrix())
+    rank = _shadow_rank(singular_values, tol)
+    if rank != m - 1:
+        raise SpectralSimplicityError(
+            f"shadow of (value I - A) has rank {rank}, expected {m - 1}; "
+            "the value is not a spectrally simple eigenvalue")
+    free = int(np.argmax(np.abs(right[-1])))
+    dropped = int(np.argmax(np.abs(left[:, -1])))
+    size = 2.0 ** max(0, math.frexp(float(singular_values[0]))[1])
+    border = outer(ZeonVector.unit(m, n, dropped), ZeonVector.unit(m, n, free), tol)
+    scales = [[0.0 if i == dropped else 1 / size] * m for i in range(m)]
+    inverse = mat_inverse(shifted._entrywise(scales, tol).add(border, tol), tol)
+    vec = ZeonVector._of(inverse._block(range(m), [dropped]))
+    residual = shifted.mul(vec, tol).norm_inf()
+    if residual > tol.compare * max(1.0, shifted.norm_inf()) * m:
+        raise ZeonError(
+            f"the bordered solve left residual {residual:.3g}; "
+            "the value is not an exact eigenvalue of the matrix")
+    return vec

@@ -506,6 +506,13 @@ class TestSerialization:
             {"n": 2, "terms": [{"I": [1], "re": 1.0, "im": 0.0},
                                {"I": [1], "re": 2.0, "im": 0.0}]},
             {"n": 2, "terms": [{"I": [1], "re": math.inf, "im": 0.0}]},
+            # sizes are JSON integers and coefficients JSON numbers, not coerced
+            {"n": 2.7, "terms": [{"I": [1], "re": 1, "im": 0}]},
+            {"n": "2", "terms": []},
+            {"n": True, "terms": []},
+            {"n": 1, "terms": [{"I": [], "re": "2", "im": 0}]},
+            {"n": 1, "terms": [{"I": [], "re": 2, "im": False}]},
+            {"n": 1, "terms": [{"I": [], "re": 10 ** 400, "im": 0}]},
         ],
     )
     def test_malformed_payloads_raise(self, payload):

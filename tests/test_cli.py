@@ -124,6 +124,15 @@ class TestInverse:
         assert code == 1
         assert json.loads(out)["error"] == "parse"
 
+    @pytest.mark.parametrize("payload", [
+        '{"n": 2.7, "terms": [{"I": [1], "re": 1, "im": 0}]}',
+        '{"n": 1, "terms": [{"I": [], "re": "2", "im": false}]}',
+        '{"n": 1, "terms": [{"I": [], "re": 1%s, "im": 0}]}' % ("0" * 400),
+    ], ids=["float-n", "string-re", "401-digit-re"])
+    def test_uncoerced_sizes_and_coefficients_exit_1(self, payload):
+        code, out, err = run_cli("inv", stdin_text=payload)
+        assert (code, json.loads(out)["error"], err) == (1, "parse", "")
+
     def test_missing_file_exits_1(self):
         code, out, _ = run_cli("inv", "/nonexistent/input.json")
         assert code == 1

@@ -613,6 +613,12 @@ class TestSerializationLinalg:
             lambda b: b["entries"][0].pop(),
             lambda b: b["entries"][0][0].__setitem__("n", 7),
             lambda b: b.__setitem__("rows", 0),
+            # neither sizes nor coefficients are coerced
+            lambda b: b.__setitem__("rows", 2.5),
+            lambda b: b.__setitem__("cols", "2"),
+            lambda b: b.__setitem__("n", 3.0),
+            lambda b: b["entries"][1].__setitem__(
+                0, {"n": 3, "terms": [{"I": [], "re": 10 ** 400, "im": 0}]}),
         ],
     )
     def test_malformed_matrix_payloads(self, mutate):

@@ -646,7 +646,12 @@ class TestPolySerialization:
         {"n": 1},
         {"n": 1, "coeffs": []},
         {"n": 1, "coeffs": [{"n": 1, "terms": []}, {"n": 2, "terms": []}]},
-    ], ids=["not-an-object", "no-coeffs", "empty-coeffs", "coefficient-on-other-n"])
+        {"n": 1.5, "coeffs": [{"n": 1, "terms": []}]},
+        {"n": "1", "coeffs": [{"n": 1, "terms": []}]},
+        {"n": True, "coeffs": [{"n": 1, "terms": []}]},
+        {"n": 1, "coeffs": [{"n": 1, "terms": [{"I": [], "re": 1, "im": "0"}]}]},
+    ], ids=["not-an-object", "no-coeffs", "empty-coeffs", "coefficient-on-other-n",
+            "float-n", "string-n", "bool-n", "string-coefficient"])
     def test_malformed_payloads_raise(self, payload):
         with pytest.raises(ParseError):
             ZeonPolynomial.from_json(payload)

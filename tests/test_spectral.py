@@ -35,6 +35,7 @@ from zeonalg import (
 )
 
 from oracles import (
+    bordered_eigenvector,
     dense_charpoly,
     from_dense,
     orthonormality_residual,
@@ -257,8 +258,8 @@ class TestEigenvectors:
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6, 1e10, 1e14])
     def test_scaled_diagonal(self, scale):
-        # S is divided down to the border row's scale; with a unit border on
-        # S itself, M_0 fell under mat_inverse's relative rank test past 1e9
+        # N = 0, so the vector is the start x_0 = e_0 itself; the rank test is
+        # relative to max(1, largest singular value), so it holds at every scale
         d = ZeonMatrix.diagonal([ZeonElement.scalar(2, scale), ZeonElement.scalar(2, 2 * scale)])
         assert eigenvector(d, scale).allclose(ZeonVector.unit(2, 2, 0))
 
@@ -276,8 +277,8 @@ class TestEigenvectors:
             eigenvector(spectral_matrix, ZeonElement.scalar(2, 5))
 
     def test_stack_held_matrix_gives_a_stack_held_vector(self, tmp_path):
-        # the bordered matrix is built in S's form, so a dense input held on
-        # its stack at n = 5 stays there, and agrees with the grid-held input
+        # at n = 5 the start and K are built as stacks, so the kernel series
+        # leaves a stack-held vector, which agrees with the grid-held input's
         a = ZeonMatrix.from_json(json.loads(
             dense_matrix_file(tmp_path, 5, self_adjoint=True).read_text()))
         held = ZeonMatrix(a.entries)
@@ -294,6 +295,45 @@ class TestEigenvectors:
         a = ZeonMatrix.diagonal([Z(n, {0: 1, 1: 0.5}), Z(n, {0: 1, 2: 0.25}), Z(n, {0: 3})])
         with pytest.raises(SpectralSimplicityError, match="rank 1, expected 2"):
             eigenvector(a, Z(n, {0: 1, 1: 0.5}))
+
+    def test_kernel_series_matches_the_bordered_reference(self):
+        # 200 (A, lambda) pairs, lambda from eigenvalues(A), general and
+        # self-adjoint, m 1-6 and n 1-9, solved as (c A, c lambda): the
+        # eigenvector is scale-free, so each must equal the bordered inverse's
+        # vector for (A, lambda). The prune is absolute, so below unit scale it
+        # shrinks with c: under the default prune c A drops every coefficient
+        # of A under 1e-12 / c, and its eigenvector is then another one.
+        rng = random.Random(2026)
+        pairs = 0
+        while pairs < 200:
+            m, n = rng.randint(1, 6), rng.randint(1, 9)
+            scale = rng.choice([1e-6, 1.0, 1e6, 1e10, 1e14])
+            tol = Tolerances(prune=DEFAULT.prune * min(1.0, scale))
+            if rng.random() < 0.5:
+                a = rand_matrix(rng, m, n)
+            else:
+                a = rand_self_adjoint(rng, m, n)[0]
+            try:
+                values = eigenvalues(a)
+            except NonConvergenceError:
+                continue  # a lift that stops early; eigenvector is not reached
+            scaled = a.scale(scale, tol)
+            for value in values:
+                reference = bordered_eigenvector(a, value)
+                vec = eigenvector(scaled, value.scale(scale, tol), tol)
+                assert vec.sub(reference).norm_inf() <= 1e-12 * reference.norm_inf()
+                residual = a.mul(vec).sub(vec.scale(value)).norm_inf()
+                assert residual <= 1e-9 * max(1.0, a.norm_inf())
+                pairs += 1
+
+    def test_defective_shadow_with_exact_eigenvalues(self):
+        # the shadow [[2, 1], [0, 2]] is a Jordan block, yet 2 + z1 and 2 + z2
+        # are spectrally simple eigenvalues: S_0 has rank 1 at each
+        n = 2
+        a = ZeonMatrix([[Z(n, {0: 2, 1: 1}), Z(n, {0: 1})], [Z(n, {}), Z(n, {0: 2, 2: 1})]])
+        assert eigenvector(a, Z(n, {0: 2, 1: 1})).allclose(ZeonVector.unit(2, n, 0))
+        assert eigenvector(a, Z(n, {0: 2, 2: 1})).allclose(
+            ZeonVector([ZeonElement.one(n), Z(n, {1: -1, 2: 1})]))
 
 
 class TestProjections:
