@@ -19,7 +19,7 @@ from .algebra import ZeonElement
 from .errors import NonFiniteResultError, ParseError, ZeonError
 from .linalg import ZeonMatrix, determinant, eliminate, mat_inverse
 from .poly import ZeonPolynomial, complex_roots, lift_simple_zero, poly_divide, split
-from .spectral import char_poly, eigenvalues, eigenvector, spectral_decompose
+from .spectral import _eigenpairs, char_poly, spectral_decompose
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -198,15 +198,14 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
 
     if name == "eigen":
         matrix = ZeonMatrix.from_json(payload, tol)
-        values = eigenvalues(matrix, tol)
-        vectors = [eigenvector(matrix, lam, tol) for lam in values]
+        pairs = _eigenpairs(matrix, tol)
         # root multiplicities sum to m, so only an all-simple spectrum lifts m values
-        simple = len(values) == matrix.rows
-        obj = {"eigenvalues": [v.to_json() for v in values],
-               "eigenvectors": [v.to_json() for v in vectors],
+        simple = len(pairs) == matrix.rows
+        obj = {"eigenvalues": [lam.to_json() for lam, _ in pairs],
+               "eigenvectors": [vec.to_json() for _, vec in pairs],
                "spectrally_simple": simple}
         lines = []
-        for lam, vec in zip(values, vectors):
+        for lam, vec in pairs:
             lines.append(f"lambda = {lam.pretty(SIG)}")
             lines.append(f"  vector = {vec.pretty(SIG)}")
         lines.append(f"spectrally_simple: {str(simple).lower()}")

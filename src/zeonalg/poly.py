@@ -369,6 +369,14 @@ def _cluster_report(points: list[complex], monic: ComplexPolynomial,
     return RootReport(tuple(roots), residual, iterations)
 
 
+def _finite(report: RootReport) -> RootReport:
+    """The report, unless a root or its residual overflowed: then NonConvergenceError carries it."""
+    if all(cmath.isfinite(r.value) for r in report.roots) and math.isfinite(report.residual):
+        return report
+    raise NonConvergenceError("root iteration overflowed: a root or the residual is not finite",
+                              report=report)
+
+
 def complex_roots(poly, tol: Tolerances = DEFAULT) -> RootReport:
     """All zeros of a complex polynomial by simultaneous Aberth iteration.
 
@@ -385,7 +393,7 @@ def complex_roots(poly, tol: Tolerances = DEFAULT) -> RootReport:
     a = monic.coeffs
     if d == 1:
         root = -a[0]
-        return RootReport((PolyRoot(root, 1, True),), abs(monic(root)), 0)
+        return _finite(RootReport((PolyRoot(root, 1, True),), abs(monic(root)), 0))
     dmonic = monic.derivative()
     abs_coeffs = [abs(c) for c in a]
     bound_factor = 4.0 * (2 * d + 1) * _EPS
@@ -425,7 +433,7 @@ def complex_roots(poly, tol: Tolerances = DEFAULT) -> RootReport:
             if abs(step) > _STEP_TOL * (1.0 + abs(points[j])):
                 done = False
         if done:
-            return _cluster_report(points, monic, dmonic, it)
+            return _finite(_cluster_report(points, monic, dmonic, it))
     raise NonConvergenceError(
         f"root iteration did not converge within {_MAX_ITER} passes",
         report=_cluster_report(points, monic, dmonic, _MAX_ITER))

@@ -52,15 +52,6 @@ def _char_poly(matrix: ZeonMatrix, tol: Tolerances) -> tuple[ZeonPolynomial, flo
     return ZeonPolynomial(coeffs), mk.add(ZeonMatrix.diagonal([c] * m), tol).norm_inf()
 
 
-def _char_zero(chi: ZeonPolynomial, lam: ZeonMatrix, tol: Tolerances) -> float:
-    """Largest coefficient of chi(lambda_j) over a one-row matrix of values, by row Horner."""
-    m = lam.cols
-    acc = ZeonMatrix([[chi.coeffs[-1]] * m])
-    for k in range(chi.degree - 1, -1, -1):
-        acc = acc._entrywise(lam, tol).add(ZeonMatrix([[chi.coeffs[k]] * m]), tol)
-    return acc.norm_inf()
-
-
 def cayley_hamilton_residual(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> float:
     """Largest coefficient of chi_A(A), from char_poly's last matrix; 0 in exact arithmetic."""
     return _char_poly(matrix, tol)[1]
@@ -73,24 +64,28 @@ def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonEleme
     descending imaginary part). Shadow eigenvalues with multiplicity
     above one do not lift; the list is then shorter than the dimension.
     Each zero of chi_A lifts as lift_simple_zero does, from one monic
-    polynomial, shadow and Taylor table built for chi_A. A lift whose
-    shadow lambda_0 leaves lambda_0 I - A_0 at full shadow rank (chi_A of
-    a small matrix can lose coefficients to the prune) is no eigenvalue:
-    NonConvergenceError names lambda_0, with the lift as its report.
+    polynomial, shadow and Taylor table built for chi_A. A lift that
+    eigenvector refuses (chi_A of a small matrix can lose coefficients to the
+    prune) is no eigenvalue: NonConvergenceError names its shadow, with the
+    lift as its report.
     """
+    return [value for value, _ in _eigenpairs(matrix, tol)]
+
+
+def _eigenpairs(matrix: ZeonMatrix, tol: Tolerances) -> list[tuple[ZeonElement, ZeonVector]]:
+    """eigenvalues() with the eigenvector that admits each one."""
     matrix._require_square("eigenvalue extraction")
     chi = char_poly(matrix, tol)
-    roots = complex_roots(chi, tol).roots
     lifter = _Lifter(chi, tol)
-    values = [lifter.lift(root.value) for root in roots if root.simple]
-    m, shadow = matrix.rows, matrix.scalar_matrix()
-    for lam in values:
-        lam0 = lam.scalar_part()
-        if _full_shadow_rank(lam0 * np.eye(m) - shadow, tol):
+    pairs = []
+    for lam in (lifter.lift(root.value) for root in complex_roots(chi, tol).roots if root.simple):
+        try:
+            pairs.append((lam, eigenvector(matrix, lam, tol)))
+        except ZeonError as err:        # eigenvector's rank or residual test
             raise NonConvergenceError(
-                f"the zero of chi_A lifted above {_fmt_c(lam0)} is not an eigenvalue: "
-                "lambda_0 I - A_0 has full shadow rank", report=lam)
-    return values
+                f"the zero of chi_A lifted above {_fmt_c(lam.scalar_part())} is not an "
+                f"eigenvalue: {err}", report=lam) from err
+    return pairs
 
 
 def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVector:
@@ -189,9 +184,9 @@ class SpectralDecomposition:
     checks holds max residuals on V, the returned frame of normalized eigenvectors:
     projection idempotence and pairwise orthogonality (read off V-adjoint V - I), resolution
     of the identity (V V-adjoint - I), reconstruction of A (V Lambda V-adjoint - A over A's
-    largest entry magnitude), Cayley-Hamilton, "orthonormal" (the largest coefficient of
-    V-adjoint V - I) and "char_zero" (of chi_A(lambda_j) over j). Arithmetic prunes, so a
-    check reads exactly 0.0 whenever every residual coefficient is below tol.prune.
+    largest entry magnitude) and "orthonormal" (the largest coefficient of V-adjoint V - I).
+    Arithmetic prunes, so a check reads exactly 0.0 whenever every residual coefficient is
+    below tol.prune.
     """
 
     eigenpairs: tuple[Eigenpair, ...]
@@ -337,13 +332,10 @@ def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> Spectra
     passes. X-adjoint X = I, so with f where column j's shadow is largest,
     one -1/2 power p_j = (X_fj conj(X_fj))^(-1/2) = |X_fj|^-1 gives the normalized
     v_j = X_j conj(X_fj) p_j, its coordinate f real with a positive shadow, and
-    the raw v_j p_j = X_j X_fj^-1. _verified checks the frame it returns;
-    chi_A feeds two checks only.
+    the raw v_j p_j = X_j X_fj^-1. _verified checks the frame it returns on
+    the two products that prove it; chi_A is never built.
     """
     matrix._require_square("spectral decomposition")
-    # char_poly's products put A on its stack where the dispatch picks one,
-    # so the self-adjointness test runs there too
-    chi, cayley_hamilton = _char_poly(matrix, tol)
     if not matrix.is_self_adjoint(tol):
         raise NotSelfAdjointError("matrix is not self-adjoint within tolerance")
     lam, x = _refine(matrix, tol)
@@ -354,11 +346,11 @@ def spectral_decompose(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> Spectra
     scales = pivots._entrywise(pivots.conjugate(), tol)._entrywise_power(-0.5, tol)   # p_j
     frame = x._entrywise(pivots._entrywise(scales, tol)._block(first, diagonal), tol)
     raw = frame._entrywise(scales._block(first, diagonal), tol)
-    return _verified(matrix, chi, cayley_hamilton, lam, raw, frame, tol)
+    return _verified(matrix, lam, raw, frame, tol)
 
 
-def _verified(matrix: ZeonMatrix, chi: ZeonPolynomial, cayley_hamilton: float, lam: ZeonMatrix,
-              raw: ZeonMatrix, frame: ZeonMatrix, tol: Tolerances) -> SpectralDecomposition:
+def _verified(matrix: ZeonMatrix, lam: ZeonMatrix, raw: ZeonMatrix, frame: ZeonMatrix,
+              tol: Tolerances) -> SpectralDecomposition:
     """Decomposition with values lam, raw vectors and normalized frame V, checked on V.
 
     Raises NonConvergenceError, with the decomposition as its report, when
@@ -383,9 +375,7 @@ def _verified(matrix: ZeonMatrix, chi: ZeonPolynomial, cayley_hamilton: float, l
         "orthogonal": max((r for (j, k), r in residual.items() if j != k), default=0.0),
         "identity": both._block(diagonal, diagonal).sub(ZeonMatrix.identity(m, n), tol).norm_inf(),
         "reconstruction": misfit / (matrix.norm_inf() or 1.0),
-        "cayley_hamilton": cayley_hamilton,
         "orthonormal": gram_defect.norm_inf(),
-        "char_zero": _char_zero(chi, lam, tol),
     }
     result = SpectralDecomposition(pairs, tuple(outer(v, v, tol) for v in normalized), checks)
     defect = max(checks["orthonormal"], checks["reconstruction"])

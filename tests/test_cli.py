@@ -366,6 +366,13 @@ class TestEigenAndSpectral:
         code, out, _ = run_cli("eigen", stdin_text=json.dumps(a.to_json()))
         assert (code, json.loads(out)["error"]) == (2, "no_convergence")
 
+    def test_eigen_refuses_an_overflowed_chi_a(self):
+        # chi_A's constant term -1e320 overflows: no_convergence, where an empty
+        # list would have claimed a spectrum that is not simple
+        a = ZeonMatrix.diagonal([ZeonElement.scalar(1, 1e160), ZeonElement.scalar(1, -1e160)])
+        code, out, _ = run_cli("eigen", stdin_text=json.dumps(a.to_json()))
+        assert (code, json.loads(out)["error"]) == (2, "no_convergence")
+
     def test_spectral_end_to_end(self):
         code, out, _ = run_cli("spectral", fixture("mat_spectral.json"))
         assert code == 0

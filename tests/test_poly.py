@@ -332,6 +332,17 @@ class TestComplexRoots:
         assert info.value.report is not None
         assert info.value.code == "no_convergence"
 
+    @pytest.mark.parametrize("coeffs", [[1e300, 0, 1], [math.inf, 0, 1], [1, 0, 0, 1e-300]],
+                             ids=["residual-overflow", "infinite-coefficient", "monic-overflow"])
+    def test_overflowed_iterates_are_no_roots(self, coeffs):
+        # iterates and |f| overflow, so the freeze test compares inf with inf;
+        # the report that would hold NaN roots or an infinite residual is refused
+        with pytest.raises(NonConvergenceError, match="not finite") as info:
+            complex_roots(ComplexPolynomial(coeffs))
+        report = info.value.report
+        assert not (math.isfinite(report.residual)
+                    and all(cmath.isfinite(r.value) for r in report.roots))
+
     def test_zeon_polynomial_accepted_directly(self):
         report = complex_roots(quartic())
         assert [r.multiplicity for r in report.roots] == [1, 3]
