@@ -922,9 +922,13 @@ def _shadow_rank(singular_values: np.ndarray, tol: Tolerances) -> int:
     return int(np.sum(singular_values > tol.scalar_zero * max(1.0, float(singular_values[0]))))
 
 
-def _full_shadow_rank(shadow: np.ndarray, tol: Tolerances) -> bool:
-    """True when a complex matrix has full rank by _shadow_rank."""
-    return _shadow_rank(np.linalg.svd(shadow, compute_uv=False), tol) == min(shadow.shape)
+def _shadow_inverse(c: np.ndarray, tol: Tolerances) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """Rank, s, s K and V-adjoint from one SVD U Sigma V-adjoint of c: K = V Sigma^+ U-adjoint over
+    the singular values _shadow_rank keeps, s >= max(1, largest of them) a power of two."""
+    left, sigma, right = np.linalg.svd(c)
+    rank, size = _shadow_rank(sigma, tol), 2.0 ** max(0, math.frexp(float(sigma[0]))[1])
+    pinv = (right[:rank].conj().T * (size / sigma[:rank])) @ left[:, :rank].conj().T
+    return rank, size, pinv, right
 
 
 def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:
@@ -932,13 +936,19 @@ def mat_inverse(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonMatrix:
 
     Writing A = (I + D) C with C the scalar part and D = dual(A) C^{-1},
     the inverse is C^{-1} (I + D)^{-1}; the series ends because entries
-    of D are nilpotent, so D^(n+1) = 0.
+    of D are nilpotent, so D^(n+1) = 0; C^{-1} is _shadow_inverse's plus one Newton
+    step, for an LU inverse's accuracy on a badly row-scaled C. SingularityError when
+    the prune would drop an entry of C^{-1} above tol.compare times the largest.
     """
     matrix._require_square("inverse")
     c = matrix.scalar_matrix()
-    if not _full_shadow_rank(c, tol):
+    rank, size, scaled, _ = _shadow_inverse(c, tol)
+    if rank < matrix.rows:
         raise SingularityError("scalar part of the matrix is singular within tolerance")
-    c_inv = ZeonMatrix.from_scalar_matrix(np.linalg.inv(c), matrix.n, tol)
+    c_inv = scaled @ (2 * np.eye(matrix.rows) - c @ scaled / size) / size  # X (2I - C X), X = K
+    if np.any((abs(c_inv) > tol.compare * abs(c_inv).max()) & (abs(c_inv) < tol.prune)):
+        raise SingularityError("the inverse's scalar part falls below the prune tolerance")
+    c_inv = ZeonMatrix.from_scalar_matrix(c_inv, matrix.n, tol)
     nilpotent = matrix.dual().mul(c_inv, tol)
     series = _binomial_series(nilpotent, -1, ZeonMatrix.identity(matrix.rows, matrix.n),
                               ZeonMatrix.mul, tol)

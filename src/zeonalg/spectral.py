@@ -19,7 +19,7 @@ from ._numpy import np
 from .algebra import ZeonElement
 from .errors import (DimensionMismatch, NonConvergenceError, NotSelfAdjointError,
                      SpectralSimplicityError, ZeonError)
-from .linalg import ZeonMatrix, ZeonVector, _full_shadow_rank, _hstack, _shadow_rank, outer
+from .linalg import ZeonMatrix, ZeonVector, _hstack, _shadow_inverse, outer
 from .poly import ZeonPolynomial, _Lifter, _fmt_c, complex_roots
 from .tolerances import DEFAULT, Tolerances
 
@@ -64,23 +64,28 @@ def eigenvalues(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> list[ZeonEleme
     descending imaginary part). Shadow eigenvalues with multiplicity
     above one do not lift; the list is then shorter than the dimension.
     Each zero of chi_A lifts as lift_simple_zero does, from one monic
-    polynomial, shadow and Taylor table built for chi_A. A lift that
-    eigenvector refuses (chi_A of a small matrix can lose coefficients to the
-    prune) is no eigenvalue: NonConvergenceError names its shadow, with the
-    lift as its report.
+    polynomial, shadow and Taylor table; below 1/2, A is scaled up by a
+    power of two first, so that the prune keeps chi_A's low coefficients.
+    A lift that eigenvector refuses is no eigenvalue: NonConvergenceError
+    names its shadow, with the lift, at A's scale, as its report.
     """
     return [value for value, _ in _eigenpairs(matrix, tol)]
 
 
 def _eigenpairs(matrix: ZeonMatrix, tol: Tolerances) -> list[tuple[ZeonElement, ZeonVector]]:
-    """eigenvalues() with the eigenvector that admits each one."""
+    """eigenvalues() with the eigenvector that admits each one, solved on 2^k A, an exact
+    scaling, k >= 0 the least that brings A's largest coefficient to 1/2 or more, so that
+    the absolute prune keeps chi_A's low coefficients; the values are scaled back."""
     matrix._require_square("eigenvalue extraction")
-    chi = char_poly(matrix, tol)
+    exponent = min(0, max(-1023, math.frexp(matrix.norm_inf())[1]))    # -k; 2^1023 is a float
+    scaled = matrix.scale(2.0 ** -exponent, tol) if exponent else matrix
+    chi = char_poly(scaled, tol)
     lifter = _Lifter(chi, tol)
     pairs = []
-    for lam in (lifter.lift(root.value) for root in complex_roots(chi, tol).roots if root.simple):
+    for lift in (lifter.lift(root.value) for root in complex_roots(chi, tol).roots if root.simple):
+        lam = lift.scale(2.0 ** exponent, tol) if exponent else lift
         try:
-            pairs.append((lam, eigenvector(matrix, lam, tol)))
+            pairs.append((lam, eigenvector(scaled, lift, tol)))
         except ZeonError as err:        # eigenvector's rank or residual test
             raise NonConvergenceError(
                 f"the zero of chi_A lifted above {_fmt_c(lam.scalar_part())} is not an "
@@ -91,13 +96,12 @@ def _eigenpairs(matrix: ZeonMatrix, tol: Tolerances) -> list[tuple[ZeonElement, 
 def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVector:
     """Kernel vector of S = value I - A for a spectrally simple eigenvalue.
 
-    S_0 = U Sigma V-adjoint must have rank m - 1; its right null vector w gives
-    f = argmax |w_f| and x_0 = w / w_f. K = V Sigma^+ U-adjoint, then y -> y - y_f x_0,
-    has K S_0 x = x - x_0 when x_f = 1, so the kernel vector is x = sum_j (-K N)^j x_0
-    with N = dual(S), which ends within n + 1 terms as K N is nilpotent. As s K and
-    N / s, s >= max(1, largest singular value) a power of two, K outlives the prune
-    at any scale of A. S x is then a multiple of the left null vector, which the
-    residual test checks is 0: exactly when the value is an eigenvalue of A.
+    S_0 must have rank m - 1 (_shadow_inverse); its right null vector w gives f = argmax
+    |w_f| and x_0 = w / w_f. The pseudo-inverse K, then y -> y - y_f x_0, has K S_0 x =
+    x - x_0 when x_f = 1, so the kernel vector is x = sum_j (-K N)^j x_0 with N = dual(S),
+    within n + 1 terms as K N is nilpotent; s K against N / s outlives the prune at any
+    uniform scale of A (ROADMAP item 4). S x is then a multiple of the left null vector,
+    which the residual test checks is 0: exactly when the value is an eigenvalue of A.
     """
     matrix._require_square("eigenvector extraction")
     m, n = matrix.rows, matrix.n
@@ -106,16 +110,13 @@ def eigenvector(matrix: ZeonMatrix, value, tol: Tolerances = DEFAULT) -> ZeonVec
     if value.n != n:
         raise DimensionMismatch("eigenvalue lives in a different algebra")
     shifted = ZeonMatrix.diagonal([value] * m).sub(matrix, tol)
-    left, singular_values, right = np.linalg.svd(shifted.scalar_matrix())
-    rank = _shadow_rank(singular_values, tol)
+    rank, size, pinv, right = _shadow_inverse(shifted.scalar_matrix(), tol)
     if rank != m - 1:
         raise SpectralSimplicityError(
             f"shadow of (value I - A) has rank {rank}, expected {m - 1}; "
             "the value is not a spectrally simple eigenvalue")
     free = int(np.argmax(np.abs(right[-1])))
     start = (right[-1] / right[-1, free]).conj()
-    size = 2.0 ** max(0, math.frexp(float(singular_values[0]))[1])
-    pinv = (right[:-1].conj().T * (size / singular_values[:-1])) @ left[:, :-1].conj().T
     kernel = ZeonMatrix.from_scalar_matrix(np.outer(start, pinv[free]) - pinv, n, tol)  # -s K
     step = kernel.mul(shifted.dual().scale(1 / size, tol), tol)                           # -K N
     vec = term = ZeonVector._of(ZeonMatrix.from_scalar_matrix(start[:, None], n, tol))
@@ -390,9 +391,8 @@ def eigen_independence_check(pairs: Sequence, tol: Tolerances = DEFAULT) -> bool
     """Shadow-rank test for eigenvector independence.
 
     The complex matrix whose columns are the scalar parts of the
-    eigenvectors must have full column rank; over this algebra that is
-    exactly linear independence of the eigenvectors themselves.
+    eigenvectors must have full column rank by _shadow_inverse; over this
+    algebra that is exactly linear independence of the eigenvectors themselves.
     """
-    vectors = [p.vector if isinstance(p, Eigenpair) else p for p in pairs]
-    shadow = _frame(vectors).scalar_matrix()
-    return shadow.shape[1] <= shadow.shape[0] and _full_shadow_rank(shadow, tol)
+    shadow = _frame([p.vector if isinstance(p, Eigenpair) else p for p in pairs]).scalar_matrix()
+    return _shadow_inverse(shadow, tol)[0] == shadow.shape[1]     # rank <= rows: wide fails

@@ -281,6 +281,13 @@ class TestMatrixCommands:
         assert code == 2
         assert json.loads(out)["error"] == "singular"
 
+    def test_matinv_below_the_prune_exits_2(self):
+        # the inverse of this matrix x1e13 has its scalar part below the prune
+        a = ZeonMatrix.from_json(json.loads(
+            pathlib.Path(fixture("mat_spectral.json")).read_text())).scale(1e13)
+        code, out, _ = run_cli("matinv", stdin_text=json.dumps(a.to_json()))
+        assert (code, json.loads(out)["error"]) == (2, "singular")
+
     def test_det_non_square_exits_2(self):
         a = ZeonMatrix([[ZeonElement.one(2), ZeonElement.one(2)]])
         code, out, _ = run_cli("det", stdin_text=json.dumps(a.to_json()))
@@ -360,11 +367,19 @@ class TestEigenAndSpectral:
         assert ZeonElement.from_json(blob["eigenvalues"][0]).allclose(
             ZeonElement.scalar(2, -1))
 
-    def test_eigen_refuses_a_lift_that_is_no_eigenvalue(self):
+    def test_eigen_lifts_every_value_of_a_small_matrix(self):
+        # at x3e-5 the prune would cut chi_A's constant term; eigen solves 2^k A
         a = ZeonMatrix.from_json(json.loads(
             pathlib.Path(fixture("mat_spectral.json")).read_text())).scale(3e-5)
         code, out, _ = run_cli("eigen", stdin_text=json.dumps(a.to_json()))
-        assert (code, json.loads(out)["error"]) == (2, "no_convergence")
+        assert code == 0
+        blob = json.loads(out)
+        assert blob["spectrally_simple"] is True
+        assert len(blob["eigenvalues"]) == 3
+        for val_blob, vec_blob in zip(blob["eigenvalues"], blob["eigenvectors"]):
+            value = ZeonElement.from_json(val_blob)
+            vec = ZeonVector.from_json(vec_blob)
+            assert a.mul(vec).sub(vec.scale(value)).norm_inf() <= 1e-9 * max(1.0, a.norm_inf())
 
     def test_eigen_refuses_an_overflowed_chi_a(self):
         # chi_A's constant term -1e320 overflows: no_convergence, where an empty

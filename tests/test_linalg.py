@@ -589,6 +589,56 @@ class TestMatrixInverse:
         x = mat_inverse(det_matrix).mul(v)
         assert det_matrix.mul(x).allclose(v)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-2, 1.0, 1e4, 1e9, 1e14])
+    @pytest.mark.parametrize("deficient", [False, True])
+    def test_shadow_inverse_matches_pinv(self, scale, deficient):
+        rng = np.random.default_rng(53)
+        shadow = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        if deficient:
+            shadow[:, 3] = shadow[:, :3] @ np.array([0.5, -1j, 2.0])
+        shadow *= scale
+        rank, size, pinv, _ = linalg._shadow_inverse(shadow, DEFAULT)
+        largest = np.linalg.norm(shadow, 2)
+        assert rank == 4 - deficient
+        assert math.frexp(size)[0] == 0.5 and max(1.0, largest) <= size < 2 * max(1.0, largest)
+        want = np.linalg.pinv(shadow, 1e-9)
+        assert np.abs(pinv / size - want).max() <= 1e-9 * np.abs(want).max()
+
+    @pytest.mark.parametrize("scale", [1e10, 1e11])
+    def test_large_matrix_keeps_its_inverse(self, scale):
+        a = ZeonMatrix.from_json(load_fixture("mat_spectral.json"))
+        got = mat_inverse(a.scale(scale))
+        want = mat_inverse(a).scale(1 / scale)
+        shadow = want.scalar_matrix()
+        assert np.abs(got.scalar_matrix() - shadow).max() <= 1e-9 * np.abs(shadow).max()
+        assert _max_diff(got, want) <= 2 * DEFAULT.prune  # coefficients at the prune may go
+
+    @pytest.mark.parametrize("large, dual", [(1e6, 1e-7), (1e8, 1e-5)])
+    def test_spread_shadow_keeps_small_duals(self, large, dual):
+        # dual / largest falls below the prune; dual times C^-1 does not
+        a = ZeonMatrix.diagonal([Z(1, {0: large}), Z(1, {0: 1, 1: dual})])
+        x = mat_inverse(a)
+        assert x.entries[1][1].allclose(Z(1, {0: 1, 1: -dual}))
+        assert _max_diff(a.mul(x), ZeonMatrix.identity(2, 1)) <= DEFAULT.compare
+
+    @pytest.mark.parametrize("scale", [1e12, 1e13])
+    def test_inverse_below_the_prune_is_refused(self, scale):
+        # C^-1's entries, 1e-13 to 1e-12 and below, would be pruned to a zero matrix
+        a = ZeonMatrix.from_json(load_fixture("mat_spectral.json")).scale(scale)
+        with pytest.raises(SingularityError, match="below the prune"):
+            mat_inverse(a)
+
+    @pytest.mark.parametrize("scale, refused", [(1e11, False), (1e13, True)])
+    def test_stack_input_is_checked_on_its_stack(self, scale, refused):
+        a = ZeonMatrix.from_json(load_fixture("mat_spectral.json")).scale(scale)
+        held = ZeonMatrix._from_stack(a._coeffs().copy(), a.n, DEFAULT)
+        if refused:
+            with pytest.raises(SingularityError, match="below the prune"):
+                mat_inverse(held)
+        else:
+            assert mat_inverse(held)._entries is None
+        assert held._entries is None
+
 
 class TestSerializationLinalg:
     def test_matrix_round_trip(self):

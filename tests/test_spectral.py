@@ -150,19 +150,49 @@ class TestEigenvalues:
         assert len(values) == 1
         assert abs(values[0].scalar_part() - 2) <= 1e-9
 
-    def test_lift_with_a_full_rank_shadow_is_refused(self, spectral_matrix):
-        # at x3e-5 chi_A's constant term, about 5.4e-13, falls under the prune,
-        # and the lift lands on 1.8e-4, a zero of the pruned polynomial only
-        assert len(eigenvalues(spectral_matrix)) == 3
-        with pytest.raises(NonConvergenceError, match="above 0.00018") as info:
-            eigenvalues(spectral_matrix.scale(3e-5))
-        assert abs(info.value.report.scalar_part() - 1.8e-4) <= 1e-9
+    @staticmethod
+    def assert_lifts_every_value(a):
+        want = [p.value for p in spectral_decompose(a).eigenpairs]
+        pairs = spectral._eigenpairs(a, DEFAULT)
+        assert len(pairs) == len(want)
+        for (value, vec), w in zip(pairs, want):
+            assert value.max_diff(w) <= DEFAULT.compare
+            residual = a.mul(vec).sub(vec.scale(value)).norm_inf()
+            assert residual <= DEFAULT.compare * max(1.0, a.norm_inf())
+
+    @pytest.mark.parametrize("scale", [3e-5, 1e-5])
+    def test_small_fixture_lifts_every_value(self, spectral_matrix, scale):
+        # at x3e-5 chi_A's constant term, about 5.4e-13, would fall under the
+        # prune; eigenvalues() builds chi_A of 2^k A instead, exactly scaled
+        self.assert_lifts_every_value(spectral_matrix.scale(scale))
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
-    def test_lift_off_the_eigenvalue_is_refused(self, seed):
-        # at x2e-3 the prune cuts into chi_A, and one zero lifts 5e-6 to 1.5e-5
-        # away from the eigenvalue that spectral_decompose finds, with the
-        # right shadow: eigenvector's residual test refuses it
+    def test_small_self_adjoint_lifts_every_value(self, seed):
+        # at x2e-3 the prune would cut into chi_A, and one zero lift 5e-6 to
+        # 1.5e-5 away from the eigenvalue that spectral_decompose finds
+        self.assert_lifts_every_value(rand_self_adjoint(random.Random(seed), 4, 4)[0].scale(2e-3))
+
+    def test_lift_with_a_full_rank_shadow_is_refused(self, spectral_matrix, monkeypatch):
+        # a lift 1% off the eigenvalue's shadow: eigenvector's rank test refuses
+        # it, and the report is at A's own scale, not at the scale chi_A was built
+        original = spectral._Lifter.lift
+        monkeypatch.setattr(spectral._Lifter, "lift",
+                            lambda self, value: original(self, value).scale(1.01, self.tol))
+        a = spectral_matrix.scale(3e-5)
+        want = [p.value for p in spectral_decompose(a).eigenpairs]
+        with pytest.raises(NonConvergenceError, match="is not an eigenvalue: shadow of") as info:
+            eigenvalues(a)
+        report = info.value.report
+        nearest = min(want, key=lambda w: abs(1.01 * w.scalar_part() - report.scalar_part()))
+        assert report.max_diff(nearest.scale(1.01)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_lift_off_the_eigenvalue_is_refused(self, seed, monkeypatch):
+        # a lift with the right shadow and a nilpotent offset: eigenvector's
+        # residual test refuses it, with the report at A's own scale
+        original = spectral._Lifter.lift
+        monkeypatch.setattr(spectral._Lifter, "lift", lambda self, value: original(
+            self, value).add(Z(4, {1: 1e-2}), self.tol))
         a = rand_self_adjoint(random.Random(seed), 4, 4)[0].scale(2e-3)
         want = [p.value for p in spectral_decompose(a).eigenpairs]
         with pytest.raises(NonConvergenceError, match="lifted above .* is not an eigenvalue") \
@@ -172,6 +202,15 @@ class TestEigenvalues:
         nearest = min(want, key=lambda w: abs(w.scalar_part() - lift.scalar_part()))
         assert abs(nearest.scalar_part() - lift.scalar_part()) <= 1e-12
         assert nearest.max_diff(lift) > 1e-6
+
+    def test_subnormal_matrix_is_scaled_within_float_range(self):
+        # 2^k with k past 1023 overflows; a domain error, here a lift stop at
+        # this prune, must come back instead of an OverflowError
+        tol = Tolerances(prune=1e-320, compare=1e-300, scalar_zero=1e-320)
+        a = ZeonMatrix.diagonal([Z(1, {0: 3, 1: 0.1}), Z(1, {0: 1})]).scale(1e-310, tol)
+        assert 0 < a.norm_inf() < 2.0 ** -1023
+        with pytest.raises(ZeonError):
+            eigenvalues(a, tol)
 
     def test_non_square_refused_by_name(self):
         with pytest.raises(DimensionMismatch, match="eigenvalue extraction needs a square"):
