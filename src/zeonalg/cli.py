@@ -15,11 +15,10 @@ import json
 import os
 import sys
 
+from . import poly, spectral
 from .algebra import ZeonElement
 from .errors import NonFiniteResultError, ParseError, ZeonError
 from .linalg import ZeonMatrix, determinant, eliminate, mat_inverse
-from .poly import ZeonPolynomial, complex_roots, lift_simple_zero, poly_divide, split
-from .spectral import _eigenpairs, char_poly, spectral_decompose
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -106,15 +105,13 @@ def _load_payload(args) -> object:
 
 
 def _tolerances(args) -> Tolerances:
-    overrides = {}
-    if args.tol_prune is not None:
-        overrides["prune"] = args.tol_prune
-    if args.tol_compare is not None:
-        overrides["compare"] = args.tol_compare
-    if args.tol_scalar is not None:
-        overrides["scalar_zero"] = args.tol_scalar
+    def given(value, default):
+        return default if value is None else value
+
     try:
-        return Tolerances(**{**DEFAULT.__dict__, **overrides})
+        return Tolerances(given(args.tol_prune, DEFAULT.prune),
+                          given(args.tol_compare, DEFAULT.compare),
+                          given(args.tol_scalar, DEFAULT.scalar_zero))
     except ValueError as exc:
         raise ParseError(f"bad tolerances: {exc}") from exc
 
@@ -150,19 +147,19 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
     if name == "polydiv":
         if not isinstance(payload, dict) or "dividend" not in payload or "divisor" not in payload:
             raise ParseError("polydiv input must be {\"dividend\": ..., \"divisor\": ...}")
-        dividend = ZeonPolynomial.from_json(payload["dividend"], tol)
-        divisor = ZeonPolynomial.from_json(payload["divisor"], tol)
-        quotient, remainder = poly_divide(dividend, divisor, tol)
+        dividend = poly.ZeonPolynomial.from_json(payload["dividend"], tol)
+        divisor = poly.ZeonPolynomial.from_json(payload["divisor"], tol)
+        quotient, remainder = poly.poly_divide(dividend, divisor, tol)
         obj = {"quotient": quotient.to_json(), "remainder": remainder.to_json()}
         text = f"quotient: {quotient.pretty(SIG)}\nremainder: {remainder.pretty(SIG)}"
         return obj, text
 
     if name == "polyzero":
-        phi = ZeonPolynomial.from_json(payload, tol)
+        phi = poly.ZeonPolynomial.from_json(payload, tol)
         if args.lambda0 is not None:
-            result = lift_simple_zero(phi, args.lambda0, tol)
+            result = poly.lift_simple_zero(phi, args.lambda0, tol)
             return result.to_json(), result.pretty(SIG)
-        report = complex_roots(phi, tol)
+        report = poly.complex_roots(phi, tol)
         lines = [f"{r.to_json()['re']:.6g}{r.to_json()['im']:+.6g}j  "
                  f"multiplicity {r.multiplicity}  "
                  f"{'simple' if r.simple else 'not simple'}" for r in report.roots]
@@ -170,7 +167,7 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
         return report.to_json(), "\n".join(lines)
 
     if name == "split":
-        zeros = split(ZeonPolynomial.from_json(payload, tol), tol)
+        zeros = poly.split(poly.ZeonPolynomial.from_json(payload, tol), tol)
         obj = {"zeros": [z.to_json() for z in zeros]}
         return obj, "\n".join(z.pretty(SIG) for z in zeros)
 
@@ -193,12 +190,12 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
         return report.to_json(), text
 
     if name == "charpoly":
-        chi = char_poly(ZeonMatrix.from_json(payload, tol), tol)
+        chi = spectral.char_poly(ZeonMatrix.from_json(payload, tol), tol)
         return chi.to_json(), chi.pretty(SIG)
 
     if name == "eigen":
         matrix = ZeonMatrix.from_json(payload, tol)
-        pairs = _eigenpairs(matrix, tol)
+        pairs = spectral._eigenpairs(matrix, tol)
         # root multiplicities sum to m, so only an all-simple spectrum lifts m values
         simple = len(pairs) == matrix.rows
         obj = {"eigenvalues": [lam.to_json() for lam, _ in pairs],
@@ -212,7 +209,7 @@ def _run_command(args, tol: Tolerances) -> tuple[dict, str]:
         return obj, "\n".join(lines)
 
     if name == "spectral":
-        decomposition = spectral_decompose(ZeonMatrix.from_json(payload, tol), tol)
+        decomposition = spectral.spectral_decompose(ZeonMatrix.from_json(payload, tol), tol)
         obj = decomposition.to_json()
         lines = []
         for pair, proj in zip(decomposition.eigenpairs, decomposition.projections):

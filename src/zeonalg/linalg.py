@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
 from .algebra import (
@@ -676,8 +676,7 @@ def _hstack(blocks: Sequence[ZeonMatrix]) -> ZeonMatrix:
 # ----------------------------------------------------------------------
 # elimination
 
-@dataclass(frozen=True)
-class RowOp:
+class RowOp(NamedTuple):
     """One elementary row operation.
 
     swap: exchange rows i and j.
@@ -698,8 +697,7 @@ class RowOp:
         raise ValueError(f"unknown row op kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class EliminationReport:
+class EliminationReport(NamedTuple):
     """Outcome of Gaussian elimination.
 
     upper: the reduced matrix (echelon up to skipped columns), exactly 0

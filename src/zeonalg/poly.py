@@ -14,7 +14,7 @@ import cmath
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._numpy import np
 from .algebra import ZeonElement, _json_int, _signed_sum
@@ -287,8 +287,7 @@ def induce_complex(phi: ZeonPolynomial, tol: Tolerances = DEFAULT) -> ComplexPol
     return ComplexPolynomial([c.scalar_part() for c in phi.coeffs], strip=tol.prune)
 
 
-@dataclass(frozen=True)
-class PolyRoot:
+class PolyRoot(NamedTuple):
     value: complex
     multiplicity: int
     simple: bool
@@ -298,8 +297,7 @@ class PolyRoot:
                 "multiplicity": self.multiplicity, "simple": self.simple}
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(NamedTuple):
     """Zeros of a complex polynomial with multiplicities.
 
     residual is the largest |f(root)| over the reported roots of the

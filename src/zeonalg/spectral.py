@@ -13,18 +13,18 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
+from . import poly
 from ._numpy import np
 from .algebra import ZeonElement
 from .errors import (DimensionMismatch, NonConvergenceError, NotSelfAdjointError,
                      SpectralSimplicityError, ZeonError)
 from .linalg import ZeonMatrix, ZeonVector, _hstack, _shadow_inverse, outer
-from .poly import ZeonPolynomial, _Lifter, _fmt_c, complex_roots
 from .tolerances import DEFAULT, Tolerances
 
 
-def char_poly(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonPolynomial:
+def char_poly(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> poly.ZeonPolynomial:
     """Monic characteristic polynomial det(t I - A), by the trace recursion.
 
     Faddeev-LeVerrier over the commutative algebra:
@@ -39,7 +39,7 @@ def char_poly(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> ZeonPolynomial:
     return _char_poly(matrix, tol)[0]
 
 
-def _char_poly(matrix: ZeonMatrix, tol: Tolerances) -> tuple[ZeonPolynomial, float]:
+def _char_poly(matrix: ZeonMatrix, tol: Tolerances) -> tuple[poly.ZeonPolynomial, float]:
     """char_poly and the largest coefficient of chi_A(A) = M_m + c_0 I."""
     matrix._require_square("characteristic polynomial")
     m, n = matrix.rows, matrix.n
@@ -49,7 +49,7 @@ def _char_poly(matrix: ZeonMatrix, tol: Tolerances) -> tuple[ZeonPolynomial, flo
     for k in range(2, m + 1):
         mk = matrix.mul(mk.add(ZeonMatrix.diagonal([c] * m), tol), tol)
         c = coeffs[m - k] = mk.trace(tol).scale(-1.0 / k, tol)
-    return ZeonPolynomial(coeffs), mk.add(ZeonMatrix.diagonal([c] * m), tol).norm_inf()
+    return poly.ZeonPolynomial(coeffs), mk.add(ZeonMatrix.diagonal([c] * m), tol).norm_inf()
 
 
 def cayley_hamilton_residual(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> float:
@@ -80,15 +80,16 @@ def _eigenpairs(matrix: ZeonMatrix, tol: Tolerances) -> list[tuple[ZeonElement, 
     exponent = min(0, max(-1023, math.frexp(matrix.norm_inf())[1]))    # -k; 2^1023 is a float
     scaled = matrix.scale(2.0 ** -exponent, tol) if exponent else matrix
     chi = char_poly(scaled, tol)
-    lifter = _Lifter(chi, tol)
+    lifter = poly._Lifter(chi, tol)
     pairs = []
-    for lift in (lifter.lift(root.value) for root in complex_roots(chi, tol).roots if root.simple):
+    roots = poly.complex_roots(chi, tol).roots
+    for lift in (lifter.lift(root.value) for root in roots if root.simple):
         lam = lift.scale(2.0 ** exponent, tol) if exponent else lift
         try:
             pairs.append((lam, eigenvector(scaled, lift, tol)))
         except ZeonError as err:        # eigenvector's rank or residual test
             raise NonConvergenceError(
-                f"the zero of chi_A lifted above {_fmt_c(lam.scalar_part())} is not an "
+                f"the zero of chi_A lifted above {poly._fmt_c(lam.scalar_part())} is not an "
                 f"eigenvalue: {err}", report=lam) from err
     return pairs
 
@@ -169,8 +170,7 @@ def resolution_of_identity(vectors: Sequence[ZeonVector],
     return frame.mul(frame.adjoint(), tol)
 
 
-@dataclass(frozen=True)
-class Eigenpair:
+class Eigenpair(NamedTuple):
     """One eigenvalue with its raw and normalized eigenvectors."""
 
     value: ZeonElement
@@ -178,8 +178,7 @@ class Eigenpair:
     normalized: ZeonVector
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
+class SpectralDecomposition(NamedTuple):
     """Full eigendata of a self-adjoint matrix plus verification residuals.
 
     checks holds max residuals on V, the returned frame of normalized eigenvectors:

@@ -1,8 +1,10 @@
 """Element arithmetic, structural maps, inverses, roots, and JSON I/O."""
 
 import cmath
+import copy
 import json
 import math
+import pickle
 import random
 import struct
 
@@ -461,6 +463,23 @@ class TestToleranceHandling:
             Tolerances(prune=1e-6, compare=1e-9, scalar_zero=1e-9)
         with pytest.raises(ValueError, match="finite"):
             Tolerances(compare=math.inf)
+        with pytest.raises(ValueError, match="must not exceed"):
+            Tolerances(1e-6, 1e-9)
+
+    def test_tolerances_are_frozen_values(self):
+        tol = Tolerances(prune=1e-10, compare=1e-8, scalar_zero=1e-7)
+        assert tol == Tolerances(1e-10, 1e-8, 1e-7) and Tolerances() == DEFAULT
+        assert tol != DEFAULT and tol != (1e-10, 1e-8, 1e-7)
+        assert hash(tol) == hash(Tolerances(1e-10, 1e-8, 1e-7))
+        assert len({DEFAULT, Tolerances(), tol}) == 2
+        assert repr(tol) == "Tolerances(prune=1e-10, compare=1e-08, scalar_zero=1e-07)"
+        assert pickle.loads(pickle.dumps(tol)) == tol and copy.deepcopy(tol) == tol
+        for name in ("prune", "compare", "scalar_zero", "other"):
+            with pytest.raises(AttributeError):
+                setattr(tol, name, 1.0)
+        with pytest.raises(AttributeError):
+            del tol.prune
+        assert (tol.prune, tol.compare, tol.scalar_zero) == (1e-10, 1e-8, 1e-7)
 
     def test_max_diff(self):
         a = Z(2, {0: 1.0, 1: 2.0})

@@ -7,7 +7,10 @@ import sys
 
 import pytest
 
+import zeonalg.cli as cli
 from zeonalg import (
+    DEFAULT,
+    Tolerances,
     ZeonElement,
     ZeonMatrix,
     ZeonPolynomial,
@@ -445,6 +448,17 @@ class TestPrettyGolden:
 
 
 class TestToleranceFlags:
+    @pytest.mark.parametrize("flags, want", [
+        ([], DEFAULT),
+        (["--tol-prune", "1e-13"], Tolerances(prune=1e-13)),
+        (["--tol-compare", "1e-6"], Tolerances(compare=1e-6)),
+        (["--tol-scalar", "1e-3"], Tolerances(scalar_zero=1e-3)),
+        (["--tol-prune", "1e-7", "--tol-compare", "1e-6", "--tol-scalar", "1e-5"],
+         Tolerances(1e-7, 1e-6, 1e-5)),
+    ])
+    def test_each_flag_replaces_only_its_field(self, flags, want):
+        assert cli._tolerances(cli.build_parser().parse_args(["inv", *flags])) == want
+
     def test_scalar_zero_override_flips_invertibility(self):
         payload = json.dumps(ZeonElement(1, {0: 1e-3, 1: 1}).to_json())
         code, _, _ = run_cli("inv", stdin_text=payload)

@@ -1,7 +1,9 @@
-"""numpy is imported on first use: the numpy-free commands never load it.
+"""numpy, `zeonalg.poly` and `zeonalg.spectral` load on first use.
 
-Each check runs in a fresh interpreter, since the test process itself has
-numpy loaded long before these tests run.
+The numpy-free commands never load numpy, and a command runs the code of
+`poly` and `spectral` only when it calls into them. Each check runs in a
+fresh interpreter, since the test process itself has loaded all of them
+long before these tests run.
 """
 
 import json
@@ -171,3 +173,98 @@ def test_threads_racing_on_first_use_agree(tmp_path):
     want = json.loads(json.dumps([pair.value.to_json()
                                   for pair in spectral_decompose(a).eigenpairs]))
     assert values == [want] * 8
+
+
+# A module's code puts __builtins__ into its namespace when it runs, so
+# "__builtins__" in vars(module) tells whether it has run; vars() itself
+# runs nothing.
+MODULES = """
+    import json, sys
+    from zeonalg.cli import main
+    code = main(sys.argv[1:])
+    print(json.dumps([code, [name for name in ("poly", "spectral")
+                             if "__builtins__" in vars(sys.modules["zeonalg." + name])],
+                      "dataclasses" in sys.modules]))
+"""
+
+
+@pytest.mark.parametrize("args, executed", [
+    (["det", "mat_det_example.json"], ()),
+    (["eliminate", "mat_dense5_n3.json"], ()),
+    (["inv", "elem_invertible.json"], ()),
+    (["root", "-k", "2", "elem_invertible.json"], ()),
+    (["--help"], ()),
+    (["spectral", "mat_spectral.json"], ("spectral",)),
+    (["polyzero", "poly_quartic.json"], ("poly",)),
+    (["polydiv", "polydiv_pair.json"], ("poly",)),
+    (["charpoly", "mat_spectral.json"], ("poly", "spectral")),
+], ids=lambda value: " ".join(value) if isinstance(value, list) else None)
+def test_command_executes_only_the_modules_it_uses(args, executed):
+    argv = [str(FIXTURES / arg) if arg.endswith(".json") else arg for arg in args]
+    code, ran, dataclasses_loaded = run_python(MODULES, *argv)
+    assert code == 0
+    assert ran == list(executed)
+    assert not dataclasses_loaded
+
+
+def test_import_executes_neither_module():
+    assert run_python("""
+        import json, sys
+        import zeonalg
+        print(json.dumps(["__builtins__" in vars(sys.modules["zeonalg." + name])
+                          for name in ("poly", "spectral")]))
+    """) == [False, False]
+
+
+def test_every_public_name_resolves():
+    assert run_python("""
+        import json, sys, types
+        import zeonalg
+        missing = [name for name in zeonalg.__all__ if not hasattr(zeonalg, name)]
+        namespace = {}
+        exec("from zeonalg import *", namespace)
+        print(json.dumps([missing, sorted(set(zeonalg.__all__) - set(namespace)),
+                          set(zeonalg.__all__) <= set(dir(zeonalg)),
+                          zeonalg.split is sys.modules["zeonalg.poly"].split,
+                          [type(sys.modules["zeonalg." + name]) is types.ModuleType
+                           for name in ("poly", "spectral")]]))
+    """) == [[], [], True, True, [True, True]]
+
+
+def test_threads_racing_on_first_module_use_agree():
+    # poly and spectral have not run in a fresh interpreter; half the threads
+    # reach poly first and half spectral, so both first reads are raced
+    assert run_python("""
+        import json, sys, threading
+        import zeonalg
+        start = threading.Barrier(8, timeout=60)
+        seen = [None] * 8
+        errors = []
+
+        def work(slot):
+            start.wait()
+            try:
+                if slot % 2:
+                    seen[slot] = (zeonalg.poly._Lifter, zeonalg.spectral_decompose)
+                else:
+                    seen[slot] = tuple(reversed(
+                        (zeonalg.spectral_decompose, zeonalg.poly._Lifter)))
+            except Exception as exc:
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        want = (sys.modules["zeonalg.poly"]._Lifter,
+                sys.modules["zeonalg.spectral"].spectral_decompose)
+        print(json.dumps([errors, sum(got is not None and all(a is b for a, b in zip(got, want))
+                                      for got in seen)]))
+    """) == [[], 8]

@@ -702,6 +702,16 @@ class TestSerializationLinalg:
             with pytest.raises(ValueError):
                 apply_row_ops(ZeonMatrix.identity(2, 2), [unknown])
 
+    def test_records_are_frozen_with_their_repr(self):
+        swap = RowOp("swap", 0, 1)
+        assert repr(swap) == "RowOp(kind='swap', i=0, j=1, factor=None)"
+        assert swap == RowOp(kind="swap", i=0, j=1) and swap.factor is None
+        report = eliminate(ZeonMatrix.identity(2, 1))
+        assert repr(report).startswith("EliminationReport(upper=")
+        for record, name in ((swap, "kind"), (report, "pivot_count")):
+            with pytest.raises(AttributeError):
+                setattr(record, name, None)
+
 
 # ----------------------------------------------------------------------
 # coefficient stacks (n <= 8) against the dense oracle and the element loop

@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import zeonalg.poly as poly
 import zeonalg.spectral as spectral
 from zeonalg import (
     DEFAULT,
@@ -175,8 +176,8 @@ class TestEigenvalues:
     def test_lift_with_a_full_rank_shadow_is_refused(self, spectral_matrix, monkeypatch):
         # a lift 1% off the eigenvalue's shadow: eigenvector's rank test refuses
         # it, and the report is at A's own scale, not at the scale chi_A was built
-        original = spectral._Lifter.lift
-        monkeypatch.setattr(spectral._Lifter, "lift",
+        original = poly._Lifter.lift
+        monkeypatch.setattr(poly._Lifter, "lift",
                             lambda self, value: original(self, value).scale(1.01, self.tol))
         a = spectral_matrix.scale(3e-5)
         want = [p.value for p in spectral_decompose(a).eigenpairs]
@@ -190,8 +191,8 @@ class TestEigenvalues:
     def test_lift_off_the_eigenvalue_is_refused(self, seed, monkeypatch):
         # a lift with the right shadow and a nilpotent offset: eigenvector's
         # residual test refuses it, with the report at A's own scale
-        original = spectral._Lifter.lift
-        monkeypatch.setattr(spectral._Lifter, "lift", lambda self, value: original(
+        original = poly._Lifter.lift
+        monkeypatch.setattr(poly._Lifter, "lift", lambda self, value: original(
             self, value).add(Z(4, {1: 1e-2}), self.tol))
         a = rand_self_adjoint(random.Random(seed), 4, 4)[0].scale(2e-3)
         want = [p.value for p in spectral_decompose(a).eigenpairs]
@@ -662,9 +663,9 @@ class TestRefinement:
         def refuse(*args, **kwargs):
             raise AssertionError("spectral_decompose must not call this")
 
-        monkeypatch.setattr(spectral, "_Lifter", refuse)
+        monkeypatch.setattr(poly, "_Lifter", refuse)
         monkeypatch.setattr(spectral, "eigenvector", refuse)
-        monkeypatch.setattr(spectral, "complex_roots", refuse)
+        monkeypatch.setattr(poly, "complex_roots", refuse)
         monkeypatch.setattr(spectral, "_char_poly", refuse)
         assert len(spectral_decompose(spectral_matrix).eigenpairs) == 3
 
