@@ -121,12 +121,22 @@ def _operator_index(n: int, r: int, k: int) -> np.ndarray:
     return index
 
 
+def _operator(n: int, x: np.ndarray) -> np.ndarray:
+    """Left-multiplication operator of a (2^n, r, k) stack: the (2^n r) x (2^n k)
+    block matrix whose block (K, J) is x[K ^ J] when J is a subset of K and 0
+    otherwise, so that x y is this matrix times y viewed as (2^n k, c)."""
+    size, r, k = x.shape
+    left = _subset_pairs(n)[0]
+    operator = np.zeros(size * r * size * k, complex)
+    operator[_operator_index(n, r, k)] = x[left].reshape(len(left), r * k)
+    return operator.reshape(size * r, size * k)
+
+
 def _operator_matmul(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix product of (2^n, r, k) and (2^n, k, c) stacks as one GEMM.
 
-    Scatters x into its left-multiplication operator, the
-    (2^n r) x (2^n k) block matrix whose block (K, J) is x[K ^ J] when J
-    is a subset of K and 0 otherwise, and multiplies it by y viewed as
+    Scatters x into its left-multiplication operator (_operator, the scatter
+    elimination's pivot division shares) and multiplies it by y viewed as
     (2^n k, c). The operator takes 4^n r k complex slots, so the operand
     with fewer cells is expanded: entries commute, hence x y = (y^T x^T)^T
     with every blade's matrix transposed.
@@ -135,11 +145,7 @@ def _operator_matmul(n: int, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     c = y.shape[2]
     if r * k > k * c:
         return _operator_matmul(n, y.transpose(0, 2, 1), x.transpose(0, 2, 1)).transpose(0, 2, 1)
-    left = _subset_pairs(n)[0]
-    width = size * k
-    operator = np.zeros(size * r * width, complex)
-    operator[_operator_index(n, r, k)] = x[left].reshape(len(left), r * k)
-    return (operator.reshape(size * r, width) @ y.reshape(width, c)).reshape(size, r, c)
+    return (_operator(n, x) @ y.reshape(size * k, c)).reshape(size, r, c)
 
 
 def _kept(terms: Iterable[tuple[int, complex]], prune: float) -> dict[int, complex]:

@@ -24,6 +24,7 @@ from .algebra import (
     _convolve,
     _json_int,
     _mul_into,
+    _operator,
     _operator_matmul,
 )
 from .errors import DimensionMismatch, ParseError, SingularityError
@@ -757,66 +758,66 @@ def _working_stack(matrix: ZeonMatrix) -> np.ndarray | None:
 
 
 def _clear_below_on_elements(rows: list[list[ZeonElement]], pr: int, col: int,
-                             tol: Tolerances) -> list[tuple[int, ZeonElement]]:
+                             tol: Tolerances) -> tuple[list[int], list[ZeonElement]]:
     # Internal: add factor * row pr to every row below it whose entry in col
-    # holds terms, one element product per entry; returns (row, factor).
+    # holds terms, one element product per entry; returns those rows and factors.
     pivot_inv = rows[pr][col].inverse(tol)
     zero = ZeonElement.zero(pivot_inv.n)
-    factors = []
+    targets, factors = [], []
     for r in range(pr + 1, len(rows)):
         entry = rows[r][col]
         if not entry.terms:
             continue
         factor = -entry.mul(pivot_inv, tol)
-        factors.append((r, factor))
+        targets.append(r)
+        factors.append(factor)
         rows[r] = [a.add(factor.mul(b, tol), tol) for a, b in zip(rows[r], rows[pr])]
         rows[r][col] = zero  # cleared exactly by construction
-    return factors
+    return targets, factors
 
 
 def _clear_below_on_stack(stack: np.ndarray, pr: int, col: int, n: int,
-                          tol: Tolerances) -> list[tuple[int, ZeonElement]]:
+                          tol: Tolerances) -> tuple[list[int], np.ndarray]:
     # Internal: the same step on a (2^n, m, ncols) working stack, as one
-    # rank-one update of the rows below: factors = -(column below) * pivot^-1
-    # entrywise, then rows += factors (x) row pr, both broadcast convolutions.
-    pivot = ZeonMatrix._from_stack(stack[:, pr:pr + 1, col:col + 1], n, None)
+    # rank-one update of the rows below. For the pivot c (1 + x), c its scalar
+    # part, the factors -(column below) (1 + x)^-1 / c are the alpha = -1
+    # binomial series summed by Horner on x's multiplication operator X
+    # (algebra._operator): f <- b - X f, n times from b = -(column below) / c,
+    # exact since x^(n+1) = 0. Then rows += factors (x) row pr, a broadcast
+    # convolution. Returns the rows whose entry in col held terms and their
+    # factors, a (2^n, len(rows)) array.
+    pivot = stack[:, pr, col]
+    c = pivot[0]
+    x = pivot / c
+    x[0] = 0
+    operator = _operator(n, x[:, None, None])
     below = stack[:, pr + 1:]
-    column = below[:, :, col:col + 1]
-    hit = np.flatnonzero(column.any(axis=(0, 2))).tolist()
-    factors = -_convolve(n, column, pivot._entrywise_power(-1, tol)._stack, np.multiply)
+    column = below[:, :, col]
+    hit = np.flatnonzero(column.any(axis=0))
+    b = column / -c
+    factors = b
+    for _ in range(n):
+        factors = b - operator @ factors
     _prune(factors, tol)
-    below += _convolve(n, factors, stack[:, pr:pr + 1], np.multiply)
+    below += _convolve(n, factors[:, :, None], stack[:, pr:pr + 1], np.multiply)
     below[:, :, col] = 0  # cleared exactly by construction
     _prune(below, tol)
-    elements = _entries_of(factors[:, hit], n)
-    return [(pr + 1 + r, row[0]) for r, row in zip(hit, elements)]
+    return (pr + 1 + hit).tolist(), factors[:, hit]
 
 
-def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationReport:
-    """Forward Gaussian elimination with invertible pivots.
+def _eliminate(matrix: ZeonMatrix, tol: Tolerances):
+    """The elimination pass of ``eliminate``: upper, det_factor, pivots and a log.
 
-    The pivot is the candidate row whose entry has the largest
-    scalar-part magnitude. Columns offering no invertible entry are
-    skipped (their nilpotent residue stays put), which is how rank
-    deficiency over the algebra shows up in pivot_count.
-
-    Each pivot step adds a multiple of the pivot row to every row below
-    it whose entry in the pivot column holds terms, and records that as
-    an axpy RowOp; a pivot in the last row has no rows below, so its
-    step and pivot inverse are skipped. The steps run on a private copy
-    of the (2^n, m, ncols) coefficient stack, one rank-one update per
-    pivot, when the matrix holds a stack or _use_stack would put the
-    first update on stacks (see _working_stack); otherwise on a grid of
-    elements, one element product per entry. Both forms choose the same pivots, barring ties
-    within rounding, and agree to rounding. On the stack, ``upper``
-    holds that stack and builds its entries when read. The input matrix
-    is never changed.
+    The log holds a row swap as (row, row, None) and a pivot step as (pivot
+    row, target rows, factors), the factors in the form elimination ran on:
+    elements on a grid, a (2^n, targets) coefficient array on the stack.
+    ``_det_elimination`` reads no factor, so it builds none as an element.
     """
     n = matrix.n
     m, ncols = matrix.rows, matrix.cols
     stack = _working_stack(matrix)
     rows = [list(r) for r in matrix.entries] if stack is None else None
-    ops: list[RowOp] = []
+    log: list[tuple] = []
     det_factor = ZeonElement.one(n)
     pivots: list[tuple[int, int]] = []
     pr = 0
@@ -837,16 +838,53 @@ def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationRepor
                 stack[:, [pr, best]] = stack[:, [best, pr]]
             else:
                 rows[pr], rows[best] = rows[best], rows[pr]
-            ops.append(RowOp("swap", pr, best))
+            log.append((pr, best, None))
             det_factor = det_factor.scale(-1)
         if pr + 1 < m:  # the last pivot has no rows below it to clear
-            factors = (_clear_below_on_stack(stack, pr, col, n, tol) if rows is None
-                       else _clear_below_on_elements(rows, pr, col, tol))
-            ops.extend(RowOp("axpy", pr, r, factor) for r, factor in factors)
+            log.append((pr, *(_clear_below_on_stack(stack, pr, col, n, tol) if rows is None
+                              else _clear_below_on_elements(rows, pr, col, tol))))
         pivots.append((pr, col))
         pr += 1
     upper = ZeonMatrix._from_stack(stack, n, None) if rows is None else ZeonMatrix(rows)
-    return EliminationReport(upper, tuple(ops), det_factor, len(pivots), tuple(pivots))
+    return upper, det_factor, tuple(pivots), log
+
+
+def eliminate(matrix: ZeonMatrix, tol: Tolerances = DEFAULT) -> EliminationReport:
+    """Forward Gaussian elimination with invertible pivots.
+
+    The pivot is the candidate row whose entry has the largest
+    scalar-part magnitude. Columns offering no invertible entry are
+    skipped (their nilpotent residue stays put), which is how rank
+    deficiency over the algebra shows up in pivot_count.
+
+    Each pivot step adds a multiple of the pivot row to every row below
+    it whose entry in the pivot column holds terms, and records that as
+    an axpy RowOp; a pivot in the last row has no rows below, so its
+    step and pivot inverse are skipped. The steps run on a private copy
+    of the (2^n, m, ncols) coefficient stack, one rank-one update per
+    pivot, when the matrix holds a stack or _use_stack would put the
+    first update on stacks (see _working_stack); otherwise on a grid of
+    elements, one element product per entry. On the stack each pivot
+    divides by Horner steps of the alpha = -1 binomial series on its
+    multiplication operator (_clear_below_on_stack), and the factors of
+    all steps become RowOp elements in one pass at the end. Both forms
+    choose the same pivots, barring ties within rounding, and agree to
+    rounding. On the stack, ``upper`` holds that stack and builds its
+    entries when read. The input matrix is never changed.
+    """
+    upper, det_factor, pivots, log = _eliminate(matrix, tol)
+    blocks = [factors for *_, factors in log if factors is not None]
+    if upper._stack is not None and blocks:  # the stack's factors as elements, in one pass
+        built = iter(_entries_of(np.concatenate(blocks, 1)[:, None], matrix.n)[0])
+        log = [(pr, other, f if f is None else [next(built) for _ in other])
+               for pr, other, f in log]
+    ops: list[RowOp] = []
+    for pr, other, factors in log:
+        if factors is None:
+            ops.append(RowOp("swap", pr, other))
+        else:
+            ops.extend(RowOp("axpy", pr, r, f) for r, f in zip(other, factors))
+    return EliminationReport(upper, tuple(ops), det_factor, len(pivots), pivots)
 
 
 # ----------------------------------------------------------------------
@@ -881,7 +919,8 @@ def _det_permutation(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
 
 
 def _det_elimination(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
-    """Determinant read off ``eliminate``.
+    """Determinant read off the elimination pass (``_eliminate``), which
+    builds no RowOp and no factor element.
 
     Rows without a pivot are zero in every pivot column, so with the
     pivot columns first the reduced matrix is [[P, X], [0, N]], P
@@ -894,17 +933,16 @@ def _det_elimination(matrix: ZeonMatrix, tol: Tolerances) -> ZeonElement:
     The pivots and N are read from ``upper`` in the form elimination left
     it, so after elimination on the stack only those entries are built.
     """
-    report = eliminate(matrix, tol)
-    pivot_rows = [row for row, _ in report.pivots]
-    pivot_cols = [col for _, col in report.pivots]
+    upper, det, pivots, _ = _eliminate(matrix, tol)
+    pivot_rows = [row for row, _ in pivots]
+    pivot_cols = [col for _, col in pivots]
     free_cols = [c for c in range(matrix.cols) if c not in pivot_cols]
-    det = report.det_factor
     if sum(p > f for p in pivot_cols for f in free_cols) & 1:
         det = -det
-    for pivot in report.upper._gather(pivot_rows, pivot_cols).entries[0]:
+    for pivot in upper._gather(pivot_rows, pivot_cols).entries[0]:
         det = det.mul(pivot, tol)
     if free_cols:
-        nilpotent_block = report.upper._block(range(report.pivot_count, matrix.rows), free_cols)
+        nilpotent_block = upper._block(range(len(pivots), matrix.rows), free_cols)
         det = det.mul(_det_permutation(nilpotent_block, tol), tol)
     return det
 

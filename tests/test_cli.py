@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import zeonalg.cli as cli
+import zeonalg.linalg as linalg
 from zeonalg import (
     DEFAULT,
     Tolerances,
@@ -313,6 +314,20 @@ class TestMatrixCommands:
         a = ZeonMatrix.diagonal([ZeonElement.scalar(1, 1e200)] * 3)
         code, out, _ = run_cli("det", stdin_text=json.dumps(a.to_json()))
         assert code == 2
+        assert json.loads(out)["error"] == "non_finite"
+
+    def test_overflowed_determinant_on_the_stack_exits_2(self, tmp_path):
+        # a dense 5 x 5 at n = 4 eliminates on its coefficient stack; its pivots,
+        # about 1e100 each, multiply to an overflow in array products, where
+        # inf * 0 makes NaN that the prune drops: the overflow must still be reported
+        path = dense_matrix_file(tmp_path, 4)
+        a = ZeonMatrix.from_json(json.loads(path.read_text()))
+        big = ZeonMatrix.diagonal([ZeonElement.scalar(4, 1e100)] * 5)
+        a = a.add(big)
+        assert linalg._working_stack(a) is not None
+        code, out, err = run_cli("det", stdin_text=json.dumps(a.to_json()))
+        assert code == 2
+        assert "Traceback" not in err
         assert json.loads(out)["error"] == "non_finite"
 
     def test_eliminate_report(self):

@@ -417,6 +417,40 @@ class TestEliminationForms:
             assert got.max_diff(want) <= 1e-12 * max(1.0, want.norm_inf())
             assert a._stack is None
 
+    def test_determinant_builds_no_row_ops(self, monkeypatch):
+        # on the stack, determinant reads the pivots as elements, and nothing else
+        rng = random.Random(227)
+        a = ZeonMatrix([[rand_element(rng, 5, 32, "invertible" if i == j else "any")
+                         for j in range(6)] for i in range(6)])
+        assert linalg._working_stack(a) is not None
+        built = []
+        entries_of = linalg._entries_of
+
+        def counted(stack, n):
+            built.append(stack.shape)
+            return entries_of(stack, n)
+
+        def no_row_op(*args):
+            raise AssertionError("determinant built a RowOp")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(linalg, "_entries_of", counted)
+            patch.setattr(linalg, "RowOp", no_row_op)
+            det = determinant(a)
+        assert built == [(32, 1, 6)]
+        assert det.terms == _det_elimination(a, DEFAULT).terms
+
+        grid = _eliminate_on_elements(a, monkeypatch)
+        stack = eliminate(a)
+        assert stack.upper._stack is not None and grid.upper._stack is None
+        assert [(op.kind, op.i, op.j) for op in stack.ops] == \
+            [(op.kind, op.i, op.j) for op in grid.ops]
+        for op_s, op_g in zip(stack.ops, grid.ops):
+            if op_g.kind == "axpy":
+                assert op_s.factor.max_diff(op_g.factor) <= 1e-12 * max(1.0, op_g.factor.norm_inf())
+        scale = max(1.0, a.norm_inf(), grid.upper.norm_inf())
+        assert _max_diff(stack.upper, grid.upper) <= 1e-12 * scale
+
 
 def _with_nilpotent_lines(rng, m, n, columns, nilpotent_row=False):
     """Random m x m matrix whose given columns (and optionally one row) are nilpotent."""
@@ -498,6 +532,25 @@ class TestDeterminant:
             lhs = determinant(a.mul(b))
             rhs = determinant(a).mul(determinant(b))
             assert lhs.allclose(rhs)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_multiplicative_on_stacks(self, seed):
+        # det(A B) = det(A) det(B) checks elimination past m = 5, where the
+        # permutation sum is too slow to serve as the oracle
+        rng = np.random.default_rng(2900 + seed)
+        for n, m in zip(range(4, 8), rng.integers(3, 8, size=4)):
+            def rand():
+                s = 0.3 * (rng.standard_normal((1 << n, m, m))
+                           + 1j * rng.standard_normal((1 << n, m, m)))
+                s[0] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+                return ZeonMatrix._from_stack(s, n, DEFAULT)
+
+            a, b = rand(), rand()
+            product = a.mul(b)
+            assert linalg._working_stack(product) is not None
+            lhs = determinant(product)
+            rhs = determinant(a).mul(determinant(b))
+            assert lhs.max_diff(rhs) <= 1e-10 * max(1.0, lhs.norm_inf(), rhs.norm_inf())
 
     def test_zeon_scaling_row_homogeneity(self):
         rng = random.Random(163)
